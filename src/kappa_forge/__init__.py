@@ -20,7 +20,6 @@ from .localization import (
     GAMMA,
     Diagnostic,
     ExpectedComparison,
-    ExpectedValue,
     FixedComponent,
     FixedPointData,
     FixedPointFile,

@@ -25,9 +25,9 @@ from .errors import DomainError
 from .localization import (
     C2,
     GAMMA,
-    ExpectedValue,
     FixedComponent,
     FixedPointData,
+    KappaValue,
     compare_expected,
     fixed_point_payload,
     write_fixed_point_file,
@@ -52,7 +52,7 @@ class CatalogEntry:
 
     label: str
     data: FixedPointData
-    expected: tuple[ExpectedValue, ...]
+    expected: tuple[KappaValue, ...]
     provenance_note: str
 
     def to_payload(self) -> dict:
@@ -88,8 +88,8 @@ def s2xs2_family(k: int) -> CatalogEntry:
     p1 = CharClassMonomial.pontryagin(1, 2)
     coefficient = Fraction(4 * (k * k + 1))
     expected = (
-        ExpectedValue(p1, coefficient, GAMMA, 2),
-        ExpectedValue(p1, coefficient, C2, 1),
+        KappaValue(p1, coefficient, GAMMA, 2),
+        KappaValue(p1, coefficient, C2, 1),
     )
     entry = CatalogEntry(
         label=f"s2xs2-k{k}",

@@ -23,17 +23,15 @@ KAPPA_FORGE_FORMAT supplies the default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .catalog import s2xs2_family, wg_hypothesis_report
 from .errors import DomainError, ParseError
 from .localization import (
-    C2,
-    GAMMA,
     compare_expected,
     kappa_class_label,
     localize_circle,
@@ -130,15 +128,6 @@ def _parse_flags(text) -> HypothesisFlags:
     return HypothesisFlags(**values)
 
 
-def _reason_payload(reason) -> dict:
-    payload = {"kind": reason.kind}
-    if reason.kind == "non_integer":
-        payload["index"] = reason.detail
-    elif reason.kind == "gcd_has_odd_prime":
-        payload["prime"] = reason.detail
-    return payload
-
-
 def _load_file(path):
     loaded = read_fixed_point_file(path)
     diagnostics = validate_fixed_data(loaded.data)
@@ -149,13 +138,28 @@ def _load_file(path):
     return loaded, notes
 
 
-def _map_inputs(args, worker):
-    inputs = list(args.input)
-    jobs = getattr(args, "jobs", 1) or 1
-    if jobs > 1 and len(inputs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, inputs))
-    return [worker(path) for path in inputs]
+def _run_inputs(args, per_file) -> int:
+    """Run ``per_file(path, loaded, prefix)`` on each --input file, in order.
+
+    ``per_file`` returns (payload, text lines, ok); ``prefix`` is "path: "
+    when there are several files.  Validation notes go to stderr, one file
+    emits its payload and several emit a list; any file not ok exits 1.
+    """
+    prefix_paths = len(args.input) > 1
+    notes, payloads, lines, ok = [], [], [], True
+    for path in args.input:
+        loaded, file_notes = _load_file(path)
+        payload, file_lines, file_ok = per_file(
+            path, loaded, f"{path}: " if prefix_paths else ""
+        )
+        notes.extend(file_notes)
+        payloads.append(payload)
+        lines.extend(file_lines)
+        ok = ok and file_ok
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
+    _emit(args, payloads if prefix_paths else payloads[0], lines)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,28 +181,17 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    multi = len(args.input) > 1
-
-    def worker(path):
-        loaded, notes = _load_file(path)
+    def per_file(path, loaded, prefix):
         n = loaded.data.fiber_half_dim
-        prefix = f"{path}: " if multi else ""
         if args.cls is not None:
             monomial = parse_class_monomial(args.cls, n)
             kv = localize_circle(loaded.data, monomial)
             label = kappa_class_label(monomial)
-            payload = {
-                "class": str(monomial),
-                "coefficient": str(kv.coefficient),
-                "generator": GAMMA,
-                "input": str(path),
-                "kappa_class": label,
-                "power": kv.generator_power,
-            }
+            payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
             lines = [
                 f"{prefix}kappa[{label}] = {kv.coefficient} * gamma^{kv.generator_power}"
             ]
-            return payload, lines, True, notes
+            return payload, lines, True
         if loaded.expected is None:
             raise ParseError(
                 f"'{path}': no --class given and the file carries no "
@@ -207,11 +200,9 @@ def cmd_localize(args) -> int:
         comparisons = compare_expected(loaded.data, loaded.expected)
         results = []
         lines = []
-        ok = True
         for comp in comparisons:
             label = kappa_class_label(comp.expected.class_monomial)
             status = "ok" if comp.matches else "MISMATCH"
-            ok = ok and comp.matches
             lines.append(
                 f"{prefix}kappa[{label}] = {comp.computed.coefficient} * "
                 f"{comp.expected.generator}^{comp.computed.generator_power} "
@@ -228,63 +219,38 @@ def cmd_localize(args) -> int:
                     "power": comp.computed.generator_power,
                 }
             )
+        ok = all(comp.matches for comp in comparisons)
         payload = {"checks": results, "input": str(path), "ok": ok}
-        return payload, lines, ok, notes
+        return payload, lines, ok
 
-    results = _map_inputs(args, worker)
-    for _, _, _, notes in results:
-        for note in notes:
-            print(f"note: {note}", file=sys.stderr)
-    payload = results[0][0] if len(results) == 1 else [r[0] for r in results]
-    lines = [line for r in results for line in r[1]]
-    _emit(args, payload, lines)
-    return 0 if all(r[2] for r in results) else 1
+    return _run_inputs(args, per_file)
 
 
 def cmd_pullback_su2(args) -> int:
-    multi = len(args.input) > 1
-
-    def worker(path):
-        loaded, notes = _load_file(path)
+    def per_file(path, loaded, prefix):
         kv, b_i = pullback_su2(loaded.data, args.i)
         label = kappa_class_label(kv.class_monomial)
-        prefix = f"{path}: " if multi else ""
         payload = {
+            **kv.to_json_dict(),
             "b_i": str(b_i),
-            "class": str(kv.class_monomial),
-            "coefficient": str(kv.coefficient),
-            "generator": C2,
             "i": args.i,
             "input": str(path),
             "kappa_class": label,
-            "power": kv.generator_power,
         }
         lines = [
             f"{prefix}kappa[{label}] = {kv.coefficient} * c2^{kv.generator_power}",
             f"{prefix}b_{args.i} = {b_i}",
         ]
-        return payload, lines, notes
+        return payload, lines, True
 
-    results = _map_inputs(args, worker)
-    for _, _, notes in results:
-        for note in notes:
-            print(f"note: {note}", file=sys.stderr)
-    payload = results[0][0] if len(results) == 1 else [r[0] for r in results]
-    lines = [line for r in results for line in r[1]]
-    _emit(args, payload, lines)
-    return 0
+    return _run_inputs(args, per_file)
 
 
 def cmd_theorem_a(args) -> int:
     b = BVector.of(_parse_fraction_list(args.b))
     flags = _parse_flags(args.flags)
     verdict = theorem_a_check(b, flags)
-    payload = {
-        "applicable": verdict.applicable,
-        "b": [str(x) for x in b],
-        "reasons": [_reason_payload(r) for r in verdict.reasons],
-        "status": verdict.status,
-    }
+    payload = {"b": [str(x) for x in b], **verdict.to_json_dict()}
     lines = [f"verdict: {verdict.status}"]
     lines.extend(f"reason: {r}" for r in verdict.reasons)
     if not verdict.applicable:
@@ -320,10 +286,7 @@ def cmd_adams(args) -> int:
         ]
         _emit(args, result.to_json_dict(), lines)
         return 0
-    payload = {"not_applicable": result.reason}
-    if result.gcd is not None:
-        payload["gcd"] = result.gcd
-    _emit(args, payload, [f"not applicable: {result.reason}"])
+    _emit(args, result.to_json_dict(), [f"not applicable: {result.reason}"])
     return 0
 
 
@@ -376,19 +339,11 @@ def cmd_catalog_s2xs2(args) -> int:
     entry.write(args.out)
     expected_lines = [
         f"expected kappa[{kappa_class_label(ev.class_monomial)}] = "
-        f"{ev.coefficient} * {ev.generator}^{ev.power}"
+        f"{ev.coefficient} * {ev.generator}^{ev.generator_power}"
         for ev in entry.expected
     ]
     payload = {
-        "expected": [
-            {
-                "class": str(ev.class_monomial),
-                "coefficient": str(ev.coefficient),
-                "generator": ev.generator,
-                "power": ev.power,
-            }
-            for ev in entry.expected
-        ],
+        "expected": [ev.to_json_dict() for ev in entry.expected],
         "label": entry.label,
         "out": str(args.out),
     }
@@ -398,22 +353,7 @@ def cmd_catalog_s2xs2(args) -> int:
 
 def cmd_catalog_wg(args) -> int:
     report = wg_hypothesis_report(args.n, args.g)
-    payload = {
-        "betti": list(report.betti),
-        "euler_char": report.euler_char,
-        "fixed_set": report.fixed_set,
-        "fixed_set_nonempty": report.fixed_set_nonempty,
-        "g": report.g,
-        "hypotheses": {
-            "rationally_odd": report.hypotheses.rationally_odd,
-            "negative_euler_char": report.hypotheses.negative_euler_char,
-            "nontrivial_action_assumed": report.hypotheses.nontrivial_action_assumed,
-        },
-        "manifold": report.manifold,
-        "n": report.n,
-        "rationally_odd": report.rationally_odd,
-        "theorems_apply": report.theorems_apply,
-    }
+    payload = dataclasses.asdict(report)
     betti_text = ",".join(str(x) for x in report.betti)
     lines = [
         f"{report.manifold} (dimension {2 * report.n})",
@@ -470,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="class monomial; omit to verify the file's expected annotations",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for many files")
     p.set_defaults(handler=cmd_localize)
 
     p = sub.add_parser(
@@ -480,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True, nargs="+", help="fixed-point data file(s)")
     p.add_argument("--i", type=int, required=True, help="Pontryagin index")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for many files")
     p.set_defaults(handler=cmd_pullback_su2)
 
     p = sub.add_parser(

@@ -39,7 +39,6 @@ __all__ = [
     "C2",
     "Diagnostic",
     "ExpectedComparison",
-    "ExpectedValue",
     "FixedComponent",
     "FixedPointData",
     "FixedPointFile",
@@ -111,7 +110,7 @@ class KappaValue:
 
     ``class_monomial`` is the c in kappa_{e*c}.  Over the circle the
     generator is gamma with power degree(c)/2; over SU(2) it is c2 with
-    power degree(c)/4.
+    power degree(c)/4.  A file's ``expected`` annotations are KappaValues too.
     """
 
     class_monomial: CharClassMonomial
@@ -138,6 +137,14 @@ class KappaValue:
                 f"degree {deg} of {self.class_monomial} on {self.generator}"
             )
         object.__setattr__(self, "generator_power", int(self.generator_power))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "class": str(self.class_monomial),
+            "coefficient": str(self.coefficient),
+            "generator": self.generator,
+            "power": self.generator_power,
+        }
 
 
 def validate_fixed_data(d: FixedPointData) -> list[Diagnostic]:
@@ -229,31 +236,13 @@ def pullback_su2(d: FixedPointData, i: int) -> tuple[KappaValue, Fraction]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExpectedValue:
-    """One annotated expectation: class, exact coefficient, generator power."""
-
-    class_monomial: CharClassMonomial
-    coefficient: Fraction
-    generator: str
-    power: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        if self.generator not in (GAMMA, C2):
-            raise DomainError(f"unknown generator '{self.generator}'")
-
-
-@dataclass(frozen=True)
 class ExpectedComparison:
-    expected: ExpectedValue
+    expected: KappaValue
     computed: KappaValue
 
     @property
     def matches(self) -> bool:
-        return (
-            self.computed.coefficient == self.expected.coefficient
-            and self.computed.generator_power == self.expected.power
-        )
+        return self.computed == self.expected
 
 
 @dataclass(frozen=True)
@@ -261,12 +250,12 @@ class FixedPointFile:
     """Parsed contents of a fixed-point data file, annotations included."""
 
     data: FixedPointData
-    expected: Optional[tuple[ExpectedValue, ...]] = None
+    expected: Optional[tuple[KappaValue, ...]] = None
     provenance: Optional[str] = None
 
 
 def compare_expected(
-    data: FixedPointData, expected: Sequence[ExpectedValue]
+    data: FixedPointData, expected: Sequence[KappaValue]
 ) -> list[ExpectedComparison]:
     """Re-run localization against each annotated expectation."""
     out = []
@@ -357,16 +346,10 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
             if generator not in (GAMMA, C2):
                 raise ParseError(f"{where}: 'generator' must be 'gamma' or 'c2'")
             power = _plain_int(raw.get("power"), f"{where}: 'power'")
-            deg = monomial.degree
-            consistent = (generator == GAMMA and power == deg // 2) or (
-                generator == C2 and deg % 4 == 0 and power == deg // 4
-            )
-            if not consistent:
-                raise ParseError(
-                    f"{where}: power {power} does not match degree {deg} "
-                    f"of '{cls_text}' on {generator}"
-                )
-            parsed.append(ExpectedValue(monomial, coefficient, generator, power))
+            try:
+                parsed.append(KappaValue(monomial, coefficient, generator, power))
+            except DomainError as exc:
+                raise ParseError(f"{where}: {exc}") from None
         expected = tuple(parsed)
 
     provenance = None
@@ -383,7 +366,9 @@ def read_fixed_point_file(path) -> FixedPointFile:
             obj = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read '{path}': {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, non-UTF-8 bytes and over-long integers raise ValueError,
+        # deep nesting RecursionError
         raise ParseError(f"'{path}' is not valid JSON: {exc}") from None
     try:
         return parse_fixed_point_payload(obj)
@@ -393,7 +378,7 @@ def read_fixed_point_file(path) -> FixedPointFile:
 
 def fixed_point_payload(
     data: FixedPointData,
-    expected: Optional[Sequence[ExpectedValue]] = None,
+    expected: Optional[Sequence[KappaValue]] = None,
     provenance: Optional[str] = None,
 ) -> dict:
     """Build the JSON-serializable payload for a fixed-point data file."""
@@ -411,15 +396,7 @@ def fixed_point_payload(
     if data.fiber_euler_char is not None:
         payload["fiber_euler_char"] = data.fiber_euler_char
     if expected:
-        payload["expected"] = [
-            {
-                "class": str(ev.class_monomial),
-                "coefficient": str(ev.coefficient),
-                "generator": ev.generator,
-                "power": ev.power,
-            }
-            for ev in expected
-        ]
+        payload["expected"] = [ev.to_json_dict() for ev in expected]
     if provenance is not None:
         payload["provenance"] = provenance
     return payload
@@ -428,7 +405,7 @@ def fixed_point_payload(
 def write_fixed_point_file(
     path,
     data: FixedPointData,
-    expected: Optional[Sequence[ExpectedValue]] = None,
+    expected: Optional[Sequence[KappaValue]] = None,
     provenance: Optional[str] = None,
 ) -> None:
     payload = fixed_point_payload(data, expected, provenance)

@@ -23,7 +23,7 @@ actually hold for a given manifold is asserted by the caller through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -108,6 +108,9 @@ class HypothesisFlags:
     def all_true(cls) -> "HypothesisFlags":
         return cls(True, True, True)
 
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass(frozen=True)
 class Reason:
@@ -127,6 +130,14 @@ class Reason:
             return f"gcd is divisible by the odd prime {self.detail}"
         return "all entries are zero, but some kappa value must be non-zero"
 
+    def to_json_dict(self) -> dict:
+        payload: dict = {"kind": self.kind}
+        if self.kind == "non_integer":
+            payload["index"] = self.detail
+        elif self.kind == "gcd_has_odd_prime":
+            payload["prime"] = self.detail
+        return payload
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -144,6 +155,13 @@ class Verdict:
     def __post_init__(self):
         if self.status == RULED_OUT and not self.reasons:
             raise DomainError("a ruled_out verdict needs at least one reason")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "applicable": self.applicable,
+            "reasons": [r.to_json_dict() for r in self.reasons],
+            "status": self.status,
+        }
 
 
 def gcd_power_of_two(values: Iterable[int]) -> bool:
@@ -180,17 +198,13 @@ def theorem_a_check(b: BVector, flags: HypothesisFlags) -> Verdict:
     whose gcd (0 included) is not a power of 2.
     """
     b = BVector.of(b)
-    reasons: list[Reason] = []
-    ints: list[int] = []
-    for idx, value in enumerate(b.entries, start=1):
-        if value.denominator != 1:
-            reasons.append(Reason("non_integer", idx))
-        else:
-            ints.append(int(value))
+    reasons = [
+        Reason("non_integer", idx)
+        for idx, value in enumerate(b.entries, start=1)
+        if value.denominator != 1
+    ]
     if not reasons:
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
+        g = math.gcd(*(int(v) for v in b.entries))
         if g == 0:
             reasons.append(Reason("all_zero"))
         elif g & (g - 1):
@@ -252,11 +266,7 @@ class Certificate:
             "b_transformed": [str(x) for x in self.b_transformed],
             "gcd": self.gcd,
             "witness_prime": self.witness_prime,
-            "hypotheses": {
-                "rationally_odd": self.hypotheses.rationally_odd,
-                "negative_euler_char": self.hypotheses.negative_euler_char,
-                "nontrivial_action_assumed": self.hypotheses.nontrivial_action_assumed,
-            },
+            "hypotheses": self.hypotheses.to_json_dict(),
             "conclusion": self.conclusion,
         }
 
@@ -266,7 +276,9 @@ class NotApplicable:
     """The certificate pipeline declined; the reason says why."""
 
     reason: str
-    gcd: Optional[int] = None
+
+    def to_json_dict(self) -> dict:
+        return {"not_applicable": self.reason}
 
 
 def nonkinetic_certificate(
@@ -276,8 +288,8 @@ def nonkinetic_certificate(
 
     Requires all hypothesis flags and a base vector that itself passes the
     obstruction test (it is supposed to come from an action).  The twisted
-    vector k^{2i} b_i is then checked; a ruled_out outcome yields the
-    certificate with the odd prime dividing the new gcd.
+    vector k^{2i} b_i then has a gcd divisible by k^2, and the certificate
+    carries the smallest odd prime dividing that gcd.
     """
     b_base = BVector.of(b_base)
     if not flags.all_set():
@@ -294,23 +306,10 @@ def nonkinetic_certificate(
             + "; ".join(str(r) for r in base_verdict.reasons)
         )
     transformed = adams_transform(k, b_base)
-    # base passed, so every entry of the transform is an integer
-    g = 0
-    for x in transformed:
-        g = math.gcd(g, abs(int(x)))
-    verdict = theorem_a_check(transformed, flags)
-    if verdict.status == RULED_OUT:
-        witness = next(
-            (r.detail for r in verdict.reasons if r.kind == "gcd_has_odd_prime"), None
-        )
-        if witness is None:
-            return NotApplicable(
-                "transform ruled out without an odd prime witness", gcd=g
-            )
-        return Certificate(k, b_base, transformed, g, witness, flags)
-    return NotApplicable(
-        f"transformed values still satisfy the constraint (gcd {g})", gcd=g
-    )
+    # the base passed, so the transform is integral and not all zero, and
+    # every entry is divisible by the odd square k^2 > 1: g has an odd prime
+    g = math.gcd(*(int(x) for x in transformed))
+    return Certificate(k, b_base, transformed, g, _smallest_odd_prime_factor(g), flags)
 
 
 @dataclass(frozen=True)

@@ -204,72 +204,41 @@ def check_weight_constraints(w: WeightMultiset, d: int) -> ConstraintCheck:
     return ConstraintCheck(not failures, tuple(failures))
 
 
-def _staircase_even(top: int) -> tuple[int, ...]:
-    # weights 2, 4, ..., top contributed by the odd-dimensional irreducible V^{top+1}
-    return tuple(range(top, 0, -2))
-
-
-def _staircase_odd_doubled(top: int) -> tuple[int, ...]:
-    # weights 1, 3, ..., top, each twice: the irreducible of dimension 2*(top+1)
-    single = tuple(range(top, 0, -2))
-    return tuple(sorted(single + single, reverse=True))
-
-
-def _without(residual: tuple[int, ...], block: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    counts = Counter(residual)
-    counts.subtract(Counter(block))
-    if any(v < 0 for v in counts.values()):
-        return None
-    rest: list[int] = []
-    for value, mult in counts.items():
-        rest.extend([value] * mult)
-    return tuple(sorted(rest, reverse=True))
-
-
 def realize_weights(w: WeightMultiset) -> Optional[RealRep]:
     """Find a real representation whose torus restriction is ``w``, if any.
 
-    Memoized search over residual weight multisets.  The available blocks
-    are the trivial line V1 (lines must pair into weight-0 planes), the odd
-    irreducible V^{2m+1} contributing weights {2, 4, ..., 2m} plus one
-    trivial line, and V^{4q} contributing {1, 3, ..., 2q-1} twice.  Since
-    each block's largest weight must match the largest residual weight, the
-    decomposition is forced whenever it exists; ``None`` means infeasible.
+    Greedy peel of the positive weights, largest first.  The available
+    blocks are the trivial line V1 (lines must pair into weight-0 planes),
+    the odd irreducible V^{2m+1} contributing weights {2, 4, ..., 2m} plus
+    one trivial line, and V^{4q} contributing {1, 3, ..., 2q-1} twice.
+    Since each block's largest weight must match the largest residual
+    weight, the decomposition is forced whenever it exists; ``None`` means
+    infeasible.
     """
     w = WeightMultiset.of(w)
-    zeros = sum(1 for a in w.entries if a == 0)
-    lines_budget = 2 * zeros
-    nonzero = tuple(a for a in w.entries if a > 0)
-    memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-
-    def search(residual: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if not residual:
-            return ()
-        if residual in memo:
-            return memo[residual]
-        top = residual[0]
+    residual = Counter(a for a in w.entries if a > 0)
+    lines_budget = 2 * (len(w) - sum(residual.values()))
+    blocks: list[int] = []
+    for top in sorted(residual, reverse=True):
+        count = residual[top]
+        if count == 0:  # all taken by larger blocks
+            continue
         if top % 2:
-            block_dim = 2 * (top + 1)
-            rest = _without(residual, _staircase_odd_doubled(top))
+            if count % 2:  # V^{4q} carries its top weight twice
+                return None
+            blocks.extend([2 * (top + 1)] * (count // 2))
         else:
-            block_dim = top + 1
-            rest = _without(residual, _staircase_even(top))
-        result: Optional[tuple[int, ...]] = None
-        if rest is not None:
-            sub = search(rest)
-            if sub is not None:
-                result = (block_dim,) + sub
-        memo[residual] = result
-        return result
-
-    blocks = search(nonzero)
-    if blocks is None:
-        return None
+            blocks.extend([top + 1] * count)
+        # each block also takes one (even top) or two (odd top) of every
+        # smaller weight of the same parity, so count copies in all
+        for weight in range(top, 0, -2):
+            if residual[weight] < count:
+                return None
+            residual[weight] -= count
     lines_used = sum(1 for d in blocks if d % 2)
     if lines_used > lines_budget:
         return None
-    padding = (1,) * (lines_budget - lines_used)
-    return RealRep.from_dims(blocks + padding)
+    return RealRep.from_dims(blocks + [1] * (lines_budget - lines_used))
 
 
 _TERM_RE = re.compile(r"(?:([0-9]+)\*)?v([0-9]+)\Z")

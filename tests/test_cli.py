@@ -273,6 +273,25 @@ def test_localize_zero_weight_note_goes_to_stderr(capsys, tmp_path):
     assert "18 * gamma^2" in out  # 2 * sigma_1(0, 9)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"fiber_half_dim": 1, "components": [{"name": "m", "euler_char": 1, '
+        b'"weights": [' + b"9" * 5000 + b"]}]}",
+        b'{"fiber_half_dim": 1, "components": [], "provenance": "\xff"}',
+        b"[" * 100_000,
+    ],
+    ids=["over-long-integer", "not-utf8", "deep-nesting"],
+)
+def test_malformed_file_is_parse_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["localize", "--input", str(path), "--class", "p1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: '{path}' is not valid JSON: ")
+
+
 def test_pullback_multiple_inputs_with_jobs(capsys, tmp_path):
     paths = []
     for k in (0, 2, 4):
@@ -281,7 +300,7 @@ def test_pullback_multiple_inputs_with_jobs(capsys, tmp_path):
         paths.append(str(path))
     code, out, _ = run(
         capsys,
-        ["pullback-su2", "--input", *paths, "--i", "1", "--jobs", "3", "--format", "json"],
+        ["pullback-su2", "--input", *paths, "--i", "1", "--format", "json"],
     )
     assert code == 0
     payload = json.loads(out)

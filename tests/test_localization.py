@@ -9,7 +9,6 @@ from kappa_forge.errors import DomainError, ParseError
 from kappa_forge.localization import (
     C2,
     GAMMA,
-    ExpectedValue,
     FixedComponent,
     FixedPointData,
     KappaValue,
@@ -236,7 +235,7 @@ def test_payload_round_trip():
 def test_payload_round_trip_with_annotations():
     data = four_point_data(2)
     expected = (
-        ExpectedValue(CharClassMonomial.pontryagin(1, 2), Fraction(20), C2, 1),
+        KappaValue(CharClassMonomial.pontryagin(1, 2), Fraction(20), C2, 1),
     )
     loaded = payload_round_trip(data, expected, "four fixed points")
     assert loaded.expected == expected

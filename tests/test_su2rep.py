@@ -174,6 +174,12 @@ def test_realize_round_trip_small():
         assert restrict_to_torus(witness) == w
 
 
+def test_realize_round_trip_many_summands():
+    # deep enough to overflow a recursive search
+    rep = RealRep.from_dims([3] * 1500)
+    assert realize_weights(restrict_to_torus(rep)) == rep
+
+
 def test_realize_rejects_nothing_and_is_pure():
     w = WeightMultiset((3, 3, 1, 1))
     first = realize_weights(w)
