@@ -72,6 +72,7 @@ from .symalg import (
     parse_class_monomial,
     reduce_monomial,
     sigma_eval,
+    sigma_eval_many,
     signed_doubling_sigma,
 )
 

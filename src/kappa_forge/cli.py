@@ -23,6 +23,7 @@ KAPPA_FORGE_FORMAT supplies the default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -62,6 +63,26 @@ _FLAG_TOKENS = {
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int-to-str digit limit while a computed result is formatted and printed.
+
+    Exact answers can run past the interpreter's default of 4,300 digits.
+    Input is never parsed inside this block, so an over-long number on the
+    command line or in a file stays a parse error.  A no-op on interpreters
+    without the limit (before Python 3.10.7).
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _resolve_format(args) -> str:
@@ -141,8 +162,9 @@ def _load_file(path):
 def _run_inputs(args, per_file) -> int:
     """Run ``per_file(path, loaded, prefix)`` on each --input file, in order.
 
-    ``per_file`` returns (payload, text lines, ok); ``prefix`` is "path: "
-    when there are several files.  Validation notes go to stderr, one file
+    ``per_file`` returns (payload, text lines, ok), formatting its numbers
+    under :func:`_unlimited_int_digits`; ``prefix`` is "path: " when there
+    are several files.  Validation notes go to stderr, one file
     emits its payload and several emit a list; any file not ok exits 1.
     """
     prefix_paths = len(args.input) > 1
@@ -176,7 +198,8 @@ def cmd_sigma(args) -> int:
         "sigma": value,
         "weights": weights,
     }
-    _emit(args, payload, [str(value)])
+    with _unlimited_int_digits():
+        _emit(args, payload, [str(value)])
     return 0
 
 
@@ -187,10 +210,11 @@ def cmd_localize(args) -> int:
             monomial = parse_class_monomial(args.cls, n)
             kv = localize_circle(loaded.data, monomial)
             label = kappa_class_label(monomial)
-            payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
-            lines = [
-                f"{prefix}kappa[{label}] = {kv.coefficient} * gamma^{kv.generator_power}"
-            ]
+            with _unlimited_int_digits():
+                payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
+                lines = [
+                    f"{prefix}kappa[{label}] = {kv.coefficient} * gamma^{kv.generator_power}"
+                ]
             return payload, lines, True
         if loaded.expected is None:
             raise ParseError(
@@ -200,25 +224,26 @@ def cmd_localize(args) -> int:
         comparisons = compare_expected(loaded.data, loaded.expected)
         results = []
         lines = []
-        for comp in comparisons:
-            label = kappa_class_label(comp.expected.class_monomial)
-            status = "ok" if comp.matches else "MISMATCH"
-            lines.append(
-                f"{prefix}kappa[{label}] = {comp.computed.coefficient} * "
-                f"{comp.expected.generator}^{comp.computed.generator_power} "
-                f"(expected {comp.expected.coefficient}: {status})"
-            )
-            results.append(
-                {
-                    "class": str(comp.expected.class_monomial),
-                    "computed": str(comp.computed.coefficient),
-                    "expected": str(comp.expected.coefficient),
-                    "generator": comp.expected.generator,
-                    "kappa_class": label,
-                    "matches": comp.matches,
-                    "power": comp.computed.generator_power,
-                }
-            )
+        with _unlimited_int_digits():
+            for comp in comparisons:
+                label = kappa_class_label(comp.expected.class_monomial)
+                status = "ok" if comp.matches else "MISMATCH"
+                lines.append(
+                    f"{prefix}kappa[{label}] = {comp.computed.coefficient} * "
+                    f"{comp.expected.generator}^{comp.computed.generator_power} "
+                    f"(expected {comp.expected.coefficient}: {status})"
+                )
+                results.append(
+                    {
+                        "class": str(comp.expected.class_monomial),
+                        "computed": str(comp.computed.coefficient),
+                        "expected": str(comp.expected.coefficient),
+                        "generator": comp.expected.generator,
+                        "kappa_class": label,
+                        "matches": comp.matches,
+                        "power": comp.computed.generator_power,
+                    }
+                )
         ok = all(comp.matches for comp in comparisons)
         payload = {"checks": results, "input": str(path), "ok": ok}
         return payload, lines, ok
@@ -230,17 +255,18 @@ def cmd_pullback_su2(args) -> int:
     def per_file(path, loaded, prefix):
         kv, b_i = pullback_su2(loaded.data, args.i)
         label = kappa_class_label(kv.class_monomial)
-        payload = {
-            **kv.to_json_dict(),
-            "b_i": str(b_i),
-            "i": args.i,
-            "input": str(path),
-            "kappa_class": label,
-        }
-        lines = [
-            f"{prefix}kappa[{label}] = {kv.coefficient} * c2^{kv.generator_power}",
-            f"{prefix}b_{args.i} = {b_i}",
-        ]
+        with _unlimited_int_digits():
+            payload = {
+                **kv.to_json_dict(),
+                "b_i": str(b_i),
+                "i": args.i,
+                "input": str(path),
+                "kappa_class": label,
+            }
+            lines = [
+                f"{prefix}kappa[{label}] = {kv.coefficient} * c2^{kv.generator_power}",
+                f"{prefix}b_{args.i} = {b_i}",
+            ]
         return payload, lines, True
 
     return _run_inputs(args, per_file)
@@ -266,27 +292,29 @@ def cmd_adams(args) -> int:
     b = BVector.of(_parse_fraction_list(args.b))
     if not args.certify:
         transformed = adams_transform(args.k, b)
-        payload = {
-            "b": [str(x) for x in b],
-            "b_transformed": [str(x) for x in transformed],
-            "k": args.k,
-        }
-        _emit(args, payload, [str(transformed)])
+        with _unlimited_int_digits():
+            payload = {
+                "b": [str(x) for x in b],
+                "b_transformed": [str(x) for x in transformed],
+                "k": args.k,
+            }
+            _emit(args, payload, [str(transformed)])
         return 0
     flags = _parse_flags(args.flags)
     result = nonkinetic_certificate(b, args.k, flags)
-    if isinstance(result, Certificate):
-        lines = [
-            "certificate: non-kinetic",
-            f"k = {result.k}",
-            f"witness prime = {result.witness_prime}",
-            f"gcd = {result.gcd}",
-            f"b_base = {result.b_base}",
-            f"b_transformed = {result.b_transformed}",
-        ]
-        _emit(args, result.to_json_dict(), lines)
-        return 0
-    _emit(args, result.to_json_dict(), [f"not applicable: {result.reason}"])
+    with _unlimited_int_digits():
+        if isinstance(result, Certificate):
+            lines = [
+                "certificate: non-kinetic",
+                f"k = {result.k}",
+                f"witness prime = {result.witness_prime}",
+                f"gcd = {result.gcd}",
+                f"b_base = {result.b_base}",
+                f"b_transformed = {result.b_transformed}",
+            ]
+            _emit(args, result.to_json_dict(), lines)
+        else:
+            _emit(args, result.to_json_dict(), [f"not applicable: {result.reason}"])
     return 0
 
 
@@ -333,21 +361,22 @@ def cmd_betti(args) -> int:
 
 def cmd_catalog_s2xs2(args) -> int:
     entry = s2xs2_family(args.k)
-    if args.out is None:
-        print(json.dumps(entry.to_payload(), indent=2, sort_keys=True))
-        return 0
-    entry.write(args.out)
-    expected_lines = [
-        f"expected kappa[{kappa_class_label(ev.class_monomial)}] = "
-        f"{ev.coefficient} * {ev.generator}^{ev.generator_power}"
-        for ev in entry.expected
-    ]
-    payload = {
-        "expected": [ev.to_json_dict() for ev in entry.expected],
-        "label": entry.label,
-        "out": str(args.out),
-    }
-    _emit(args, payload, [f"wrote {args.out}"] + expected_lines)
+    with _unlimited_int_digits():
+        if args.out is None:
+            print(json.dumps(entry.to_payload(), indent=2, sort_keys=True))
+            return 0
+        entry.write(args.out)
+        expected_lines = [
+            f"expected kappa[{kappa_class_label(ev.class_monomial)}] = "
+            f"{ev.coefficient} * {ev.generator}^{ev.generator_power}"
+            for ev in entry.expected
+        ]
+        payload = {
+            "expected": [ev.to_json_dict() for ev in entry.expected],
+            "label": entry.label,
+            "out": str(args.out),
+        }
+        _emit(args, payload, [f"wrote {args.out}"] + expected_lines)
     return 0
 
 

@@ -33,6 +33,7 @@ from .symalg import (
     parse_class_monomial,
     reduce_monomial,
     sigma_eval,
+    sigma_eval_many,
 )
 
 __all__ = [
@@ -187,17 +188,21 @@ def _require_usable(d: FixedPointData) -> None:
         raise DomainError("; ".join(diag.message for diag in errors))
 
 
+def _require_same_fiber(d: FixedPointData, c: CharClassMonomial) -> None:
+    if c.fiber_half_dim != d.fiber_half_dim:
+        raise DomainError(
+            f"monomial is for fiber half-dimension {c.fiber_half_dim}, "
+            f"data has {d.fiber_half_dim}"
+        )
+
+
 def localize_circle(d: FixedPointData, c: CharClassMonomial) -> KappaValue:
     """Coefficient of the kappa_{e*c} pullback on gamma^(deg(c)/2).
 
     Sum over fixed components of chi times the weight evaluation of c.
     """
     _require_usable(d)
-    if c.fiber_half_dim != d.fiber_half_dim:
-        raise DomainError(
-            f"monomial is for fiber half-dimension {c.fiber_half_dim}, "
-            f"data has {d.fiber_half_dim}"
-        )
+    _require_same_fiber(d, c)
     coeff = sum(
         comp.euler_char * sigma_eval(c, comp.weights) for comp in d.components
     )
@@ -257,10 +262,27 @@ class FixedPointFile:
 def compare_expected(
     data: FixedPointData, expected: Sequence[KappaValue]
 ) -> list[ExpectedComparison]:
-    """Re-run localization against each annotated expectation."""
+    """Localize every annotated class and pair it with its expectation.
+
+    The data is validated once, and each component's weights are evaluated
+    against all annotated classes in one :func:`sigma_eval_many` pass.
+    Values and errors are those of :func:`localize_circle` per annotation.
+    """
+    if not expected:  # nothing is localized, so nothing is validated
+        return []
+    _require_usable(data)
+    monomials = [ev.class_monomial for ev in expected]
+    for c in monomials:
+        _require_same_fiber(data, c)
+    coeffs = [0] * len(monomials)
+    for comp in data.components:
+        chi = comp.euler_char
+        for j, value in enumerate(sigma_eval_many(monomials, comp.weights)):
+            coeffs[j] += chi * value
     out = []
-    for ev in expected:
-        kv = localize_circle(data, ev.class_monomial)
+    for ev, coeff in zip(expected, coeffs):
+        c = ev.class_monomial
+        kv = KappaValue(c, Fraction(coeff), GAMMA, c.degree // 2)
         if ev.generator == C2:
             kv = gamma_to_c2(kv)
         out.append(ExpectedComparison(ev, kv))

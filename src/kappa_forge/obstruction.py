@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import DomainError
-from .symalg import WeightVector, WeightsLike, elementary_symmetric
+from .symalg import CharClassMonomial, WeightVector, WeightsLike, sigma_eval_many
 
 __all__ = [
     "BVector",
@@ -214,12 +214,14 @@ def theorem_a_check(b: BVector, flags: HypothesisFlags) -> Verdict:
 
 
 def weights_to_b(w: WeightsLike) -> BVector:
-    """b_i = sigma_i of the squared weights; the values a connected fixed set yields."""
+    """b_i = sigma_i of the squared weights; the values a connected fixed set yields.
+
+    All n values come from one truncated pass: O(n^2) multiply-adds.
+    """
     w = WeightVector.of(w)
-    squares = [a * a for a in w.weights]
-    return BVector(
-        tuple(Fraction(elementary_symmetric(i, squares)) for i in range(1, len(w) + 1))
-    )
+    n = len(w)
+    p = [CharClassMonomial.pontryagin(i, n) for i in range(1, n + 1)]
+    return BVector(tuple(Fraction(v) for v in sigma_eval_many(p, w)))
 
 
 def adams_transform(k: int, b: BVector) -> BVector:

@@ -155,16 +155,21 @@ def real_irrep_complexification(r: RealIrrep) -> tuple[ComplexIrrep, ...]:
 
 
 def restrict_to_torus(rep: RealRep) -> WeightMultiset:
-    """Fold the complex torus weights of ``rep`` into real rotation planes."""
+    """Fold the complex torus weights of ``rep`` into real rotation planes.
+
+    An odd total dimension is rejected before any irreducible is expanded.
+    """
+    # complexification keeps the dimension, so the real total counts the weights
+    total = rep.total_dim
+    if total % 2:
+        raise DomainError(
+            f"total dimension {total} is odd: one trivial "
+            "line is left over and cannot be paired into a plane"
+        )
     complex_weights: list[int] = []
     for summand in rep.summands:
         for irr in real_irrep_complexification(summand):
             complex_weights.extend(complex_irrep_weights(irr))
-    if len(complex_weights) % 2:
-        raise DomainError(
-            f"total dimension {len(complex_weights)} is odd: one trivial "
-            "line is left over and cannot be paired into a plane"
-        )
     positive = sorted((x for x in complex_weights if x > 0), reverse=True)
     zeros = sum(1 for x in complex_weights if x == 0)
     # complexifications are self-dual, so negatives mirror positives exactly

@@ -37,6 +37,7 @@ __all__ = [
     "parse_class_monomial",
     "reduce_monomial",
     "sigma_eval",
+    "sigma_eval_many",
     "signed_doubling_sigma",
 ]
 
@@ -165,22 +166,55 @@ def degree(m: CharClassMonomial) -> int:
     return m.degree
 
 
+def _elementary_upto(top: int, values: Sequence[int]) -> list[int]:
+    """[sigma_0, ..., sigma_top] of ``values``: prod(1 + v*t) truncated at degree top."""
+    coeffs = [1] + [0] * top
+    for v in values:
+        for j in range(top, 0, -1):
+            coeffs[j] += v * coeffs[j - 1]
+    return coeffs
+
+
 def elementary_symmetric(i: int, values: Iterable[int]) -> int:
     """The i-th elementary symmetric polynomial of the given integers, exactly.
 
-    sigma_0 is 1 by the empty-product convention.
+    sigma_0 is 1 by the empty-product convention.  One truncated pass over
+    the n values: O(n*i) big-integer multiply-adds.
     """
     vals = [int(v) for v in values]
     if i < 0 or i > len(vals):
         raise DomainError(
             f"elementary symmetric index {i} outside 0..{len(vals)}"
         )
-    # coefficient extraction from prod(1 + v*t), truncated at degree i
-    coeffs = [1] + [0] * i
-    for v in vals:
-        for j in range(i, 0, -1):
-            coeffs[j] += v * coeffs[j - 1]
-    return coeffs[i]
+    return _elementary_upto(i, vals)[i]
+
+
+def _top_index(c: CharClassMonomial) -> int:
+    """Highest i with a non-zero exponent of p_i in ``c`` (0 if none)."""
+    exps = c.p_exponents
+    top = len(exps)
+    while top and not exps[top - 1]:
+        top -= 1
+    return top
+
+
+def _check_weights(c: CharClassMonomial, w: WeightVector) -> None:
+    n = c.fiber_half_dim
+    if len(w) != n:
+        raise DomainError(
+            f"weight vector has {len(w)} entries, monomial expects {n}"
+        )
+
+
+def _eval_from(c: CharClassMonomial, e: Sequence[int], euler: int) -> int:
+    """The monomial's value from sigma_i of the squares (``e``) and the weight product."""
+    total = 1
+    for i, k in enumerate(c.p_exponents, start=1):
+        if k:
+            total *= e[i] ** k
+    if c.e_exponent:
+        total *= euler ** c.e_exponent
+    return total
 
 
 def sigma_eval(c: CharClassMonomial, w: WeightsLike) -> int:
@@ -189,22 +223,30 @@ def sigma_eval(c: CharClassMonomial, w: WeightsLike) -> int:
     Multiplicative over factors, with sigma_{p_i} the i-th elementary
     symmetric polynomial of the squared weights and sigma_e the plain
     product of the weights.  The result depends only on the canonical
-    class of ``c``, so reduction beforehand is optional.
+    class of ``c``, so reduction beforehand is optional.  All factors come
+    from one truncated pass up to the highest p-index ``top`` present:
+    O(n*top) big-integer multiply-adds.
     """
     w = WeightVector.of(w)
-    n = c.fiber_half_dim
-    if len(w) != n:
-        raise DomainError(
-            f"weight vector has {len(w)} entries, monomial expects {n}"
-        )
-    squares = [a * a for a in w.weights]
-    total = 1
-    for i, k in enumerate(c.p_exponents, start=1):
-        if k:
-            total *= elementary_symmetric(i, squares) ** k
-    if c.e_exponent:
-        total *= prod(w.weights) ** c.e_exponent
-    return total
+    _check_weights(c, w)
+    e = _elementary_upto(_top_index(c), [a * a for a in w.weights])
+    return _eval_from(c, e, prod(w.weights) if c.e_exponent else 1)
+
+
+def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> list[int]:
+    """``[sigma_eval(c, w) for c in monomials]`` from one shared pass.
+
+    Every monomial's fiber dimension is checked against ``w`` first; then
+    one truncated pass up to the largest p-index ``top`` among them gives
+    every factor: O(n*top) big-integer multiply-adds in all, not per monomial.
+    """
+    w = WeightVector.of(w)
+    for c in monomials:
+        _check_weights(c, w)
+    top = max((_top_index(c) for c in monomials), default=0)
+    e = _elementary_upto(top, [a * a for a in w.weights])
+    euler = prod(w.weights) if any(c.e_exponent for c in monomials) else 1
+    return [_eval_from(c, e, euler) for c in monomials]
 
 
 def signed_doubling_sigma(i: int, w: WeightsLike) -> int:

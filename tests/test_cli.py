@@ -1,4 +1,7 @@
 import json
+import sys
+from contextlib import contextmanager
+from math import comb, prod
 
 import pytest
 
@@ -290,6 +293,87 @@ def test_malformed_file_is_parse_error(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: '{path}' is not valid JSON: ")
+
+
+@contextmanager
+def digits_unlimited():
+    """Lift the int/str digit limit for a test's own reference arithmetic."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def run_big(capsys, argv):
+    """``run`` under the default digit limit, which must be in force again afterwards."""
+    before = sys.get_int_max_str_digits()
+    result = run(capsys, argv)
+    assert sys.get_int_max_str_digits() == before
+    return result
+
+
+def test_localize_all_p_prints_past_digit_limit(capsys, tmp_path):
+    # equal weights a give sigma_i of the squares = C(64, i) * a^(2i)
+    n = 64
+    comps = [(3, 1000), (-2, 7)]
+    path = tmp_path / "n64.json"
+    path.write_text(json.dumps({
+        "fiber_half_dim": n,
+        "components": [
+            {"name": f"m{j}", "euler_char": chi, "weights": [a] * n}
+            for j, (chi, a) in enumerate(comps)
+        ],
+    }))
+    all_p = "*".join(f"p{i}" for i in range(1, n + 1))
+    code, out, err = run_big(capsys, ["localize", "--input", str(path), "--class", all_p])
+    assert code == 0, err
+    binomials = prod(comb(n, i) for i in range(1, n + 1))
+    expected = sum(chi * binomials * a ** (n * (n + 1)) for chi, a in comps)
+    with digits_unlimited():
+        assert len(str(expected)) > 4300
+        assert out.strip().endswith(f"= {expected} * gamma^{n * (n + 1)}")
+
+
+def test_adams_prints_past_digit_limit(capsys):
+    k = 10**50 + 1
+    b = ",".join(["1"] * 50)
+    code, out, err = run_big(capsys, ["adams", "--k", str(k), "--b", b])
+    assert code == 0, err
+    with digits_unlimited():
+        assert out.strip() == ",".join(str(k ** (2 * i)) for i in range(1, 51))
+
+
+def test_adams_certificate_prints_past_digit_limit(capsys):
+    k = 10**50 + 1
+    b = ",".join(["1"] * 50)
+    code, out, err = run_big(
+        capsys, ["adams", "--k", str(k), "--b", b, "--certify", "--format", "json"]
+    )
+    assert code == 0, err
+    with digits_unlimited():
+        payload = json.loads(out)
+        assert payload["b_transformed"] == [str(k ** (2 * i)) for i in range(1, 51)]
+        assert payload["witness_prime"] == 101  # 10^2 + 1 divides 10^50 + 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sigma_prints_past_digit_limit(capsys, fmt):
+    code, out, err = run_big(
+        capsys, ["sigma", "--class", "p1^800", "--weights", "1000,1000", "--format", fmt]
+    )
+    assert code == 0, err
+    with digits_unlimited():
+        value = json.loads(out)["sigma"] if fmt == "json" else int(out)
+        assert value == 2000000**800
+
+
+def test_over_long_weight_argument_is_parse_error(capsys):
+    code, out, err = run_big(capsys, ["sigma", "--class", "p1", "--weights", "9" * 5000])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad weight")
 
 
 def test_pullback_multiple_inputs_with_jobs(capsys, tmp_path):

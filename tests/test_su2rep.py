@@ -105,6 +105,21 @@ def test_restrict_rejects_odd_total():
         restrict_to_torus(RealRep.from_dims([3, 4]))
 
 
+def test_restrict_rejects_odd_total_before_expanding(monkeypatch):
+    import kappa_forge.su2rep as su2rep
+
+    expanded = []
+    monkeypatch.setattr(su2rep, "complex_irrep_weights", expanded.append)
+    for text, total in (("V2000001", 2000001), ("1000*V3+V4+V1", 3005)):
+        with pytest.raises(DomainError) as exc:
+            restrict_to_torus(parse_real_rep(text))
+        assert str(exc.value) == (
+            f"total dimension {total} is odd: one trivial line is left over "
+            "and cannot be paired into a plane"
+        )
+    assert expanded == []
+
+
 def test_restrict_cardinality_is_half_dimension():
     for rep in all_real_reps(14):
         assert len(restrict_to_torus(rep)) == rep.total_dim // 2
