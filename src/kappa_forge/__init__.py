@@ -44,9 +44,7 @@ from .obstruction import (
     Verdict,
     adams_transform,
     betti_feasible,
-    gcd_power_of_two,
     nonkinetic_certificate,
-    self_map_degree_realizable,
     theorem_a_check,
     weights_to_b,
 )
@@ -73,7 +71,6 @@ from .symalg import (
     reduce_monomial,
     sigma_eval,
     sigma_eval_many,
-    signed_doubling_sigma,
 )
 
 __version__ = "0.1.0"

@@ -361,22 +361,24 @@ def cmd_betti(args) -> int:
 
 def cmd_catalog_s2xs2(args) -> int:
     entry = s2xs2_family(args.k)
-    with _unlimited_int_digits():
-        if args.out is None:
+    if args.out is None:
+        with _unlimited_int_digits():
             print(json.dumps(entry.to_payload(), indent=2, sort_keys=True))
-            return 0
-        entry.write(args.out)
-        expected_lines = [
-            f"expected kappa[{kappa_class_label(ev.class_monomial)}] = "
-            f"{ev.coefficient} * {ev.generator}^{ev.generator_power}"
-            for ev in entry.expected
-        ]
-        payload = {
-            "expected": [ev.to_json_dict() for ev in entry.expected],
-            "label": entry.label,
-            "out": str(args.out),
-        }
-        _emit(args, payload, [f"wrote {args.out}"] + expected_lines)
+        return 0
+    # written under the digit limit, so localize --input reads it back and
+    # every number printed below fits the limit too
+    entry.write(args.out)
+    expected_lines = [
+        f"expected kappa[{kappa_class_label(ev.class_monomial)}] = "
+        f"{ev.coefficient} * {ev.generator}^{ev.generator_power}"
+        for ev in entry.expected
+    ]
+    payload = {
+        "expected": [ev.to_json_dict() for ev in entry.expected],
+        "label": entry.label,
+        "out": str(args.out),
+    }
+    _emit(args, payload, [f"wrote {args.out}"] + expected_lines)
     return 0
 
 

@@ -22,6 +22,7 @@ command-line tool and the example catalog.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -430,10 +431,23 @@ def write_fixed_point_file(
     expected: Optional[Sequence[KappaValue]] = None,
     provenance: Optional[str] = None,
 ) -> None:
-    payload = fixed_point_payload(data, expected, provenance)
+    """Write the data file, or raise DomainError and write nothing.
+
+    Numbers are formatted under the int-string digit limit that
+    :func:`read_fixed_point_file` parses under, so a file that could not be
+    read back is refused.
+    """
+    try:
+        text = json.dumps(
+            fixed_point_payload(data, expected, provenance), indent=2, sort_keys=True
+        )
+    except ValueError:  # int-to-str conversion past the digit limit
+        raise DomainError(
+            f"{path}: not written: a number in it would exceed the "
+            f"{sys.get_int_max_str_digits()}-digit limit that reading the file enforces"
+        ) from None
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def kappa_class_label(c: CharClassMonomial) -> str:

@@ -20,8 +20,8 @@ and sigma_i of squared weights overflows 64 bits already for modest input.
 
 from __future__ import annotations
 
-import itertools
 import re
+import sys
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence, Union
@@ -38,7 +38,6 @@ __all__ = [
     "reduce_monomial",
     "sigma_eval",
     "sigma_eval_many",
-    "signed_doubling_sigma",
 ]
 
 
@@ -249,26 +248,6 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
     return [_eval_from(c, e, euler) for c in monomials]
 
 
-def signed_doubling_sigma(i: int, w: WeightsLike) -> int:
-    """(-1)^i sigma_{2i} of the doubled signed list (a_1, -a_1, ..., a_n, -a_n).
-
-    Expanded term by term over all 2i-element subsets, deliberately without
-    the symmetric-function shortcut: mixed terms cancel in pairs, so this
-    serves as the independent cross-check that the p_i evaluation rule in
-    :func:`sigma_eval` equals sigma_i of the squares.
-    """
-    w = WeightVector.of(w)
-    n = len(w)
-    if i < 0 or i > n:
-        raise DomainError(f"index {i} outside 0..{n}")
-    doubled = []
-    for a in w.weights:
-        doubled.append(a)
-        doubled.append(-a)
-    total = sum(prod(combo) for combo in itertools.combinations(doubled, 2 * i))
-    return (-1) ** i * total
-
-
 _FACTOR_RE = re.compile(r"(e|p([0-9]+))(?:\^(-?[0-9]+))?\Z")
 
 
@@ -291,18 +270,22 @@ def parse_class_monomial(text: str, n: int) -> CharClassMonomial:
         m = _FACTOR_RE.match(factor)
         if m is None:
             raise ParseError(f"bad class factor '{factor}'")
-        exp = 1
-        if m.group(3) is not None:
-            exp = int(m.group(3))
-            if exp < 0:
-                raise ParseError(f"negative exponent in '{factor}'")
-        if m.group(2) is None:
+        try:
+            exp = 1 if m.group(3) is None else int(m.group(3))
+            idx = None if m.group(2) is None else int(m.group(2))
+        except ValueError:  # only digits get here: over the int-string digit limit
+            raise ParseError(
+                f"class factor '{factor[:20]}...' has a number over the "
+                f"{sys.get_int_max_str_digits()}-digit limit"
+            ) from None
+        if exp < 0:
+            raise ParseError(f"negative exponent in '{factor}'")
+        if idx is None:
             e_exp += exp
-        else:
-            idx = int(m.group(2))
-            if not 1 <= idx <= n:
-                raise ParseError(
-                    f"class index p{idx} outside 1..{n} for fiber half-dimension {n}"
-                )
+        elif 1 <= idx <= n:
             p_exp[idx - 1] += exp
+        else:
+            raise ParseError(
+                f"class index p{idx} outside 1..{n} for fiber half-dimension {n}"
+            )
     return CharClassMonomial(n, tuple(p_exp), e_exp)

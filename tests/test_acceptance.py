@@ -20,7 +20,6 @@ from kappa_forge.obstruction import (
     HypothesisFlags,
     adams_transform,
     betti_feasible,
-    gcd_power_of_two,
     nonkinetic_certificate,
     weights_to_b,
 )
@@ -35,8 +34,8 @@ from kappa_forge.symalg import (
     elementary_symmetric,
     reduce_monomial,
     sigma_eval,
-    signed_doubling_sigma,
 )
+from oracles import gcd_power_of_two, signed_doubling_sigma
 
 ALL_FLAGS = HypothesisFlags.all_true()
 

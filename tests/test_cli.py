@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,18 @@ def test_sigma_bad_weights_is_parse_error(capsys):
     code, _, err = run(capsys, ["sigma", "--class", "p1", "--weights", "2,x"])
     assert code == 2
     assert "x" in err
+
+
+@pytest.mark.parametrize(
+    "factor",
+    ["p1^" + "9" * 5000, "p" + "9" * 5000, "e^" + "9" * 5000],
+    ids=["p-exponent", "p-index", "e-exponent"],
+)
+def test_sigma_over_long_class_number_is_parse_error(capsys, factor):
+    code, out, err = run(capsys, ["sigma", "--class", factor, "--weights", "1,2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: class factor") and "4300-digit limit" in err
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +143,54 @@ def test_adams_certify(capsys):
     assert payload["b_transformed"] == ["125", "2500"]
 
 
+# ---------------------------------------------------------------------------
+# the gcd's witness prime in bounded time (run as a child process, killed on
+# timeout; plain trial division needs minutes to hours for the first two)
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+WITNESS_TIMEOUT_S = 30
+P19 = 9000000000123456803  # a 19-digit prime
+K12 = 1000000987681  # a prime near 10^12
+Q25, R25 = 1000000000000000000000049, 4000000000000000000012373  # 25-digit primes
+
+
+def run_bounded(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kappa_forge.cli", *argv, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=WITNESS_TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_theorem_a_prime_gcd_of_19_digits():
+    payload = run_bounded(["theorem-a", f"--b={P19},{-3 * P19}"])
+    assert payload["reasons"] == [{"kind": "gcd_has_odd_prime", "prime": P19}]
+
+
+def test_adams_certify_prime_k_near_1e12():
+    payload = run_bounded(
+        ["adams", "--certify", f"--k={K12}", "--b=1,2",
+         "--flags=rationally-odd,neg-euler,nontrivial-action"]
+    )
+    assert payload["gcd"] == K12**2
+    assert payload["witness_prime"] == K12
+
+
+def test_theorem_a_small_prime_times_two_large_primes():
+    # rho finds 1000003 at once but cannot split Q25*R25; trial division up
+    # to 1000003 settles that no smaller prime divides it
+    g = 1000003 * Q25 * R25
+    payload = run_bounded(["theorem-a", f"--b={g},{2 * g}"])
+    assert payload["reasons"] == [{"kind": "gcd_has_odd_prime", "prime": 1000003}]
+
+
 def test_adams_certify_not_applicable(capsys):
     code, out, _ = run(
         capsys,
@@ -207,6 +270,35 @@ def test_catalog_pullback_round_trip(capsys, tmp_path):
     assert code == 0
     assert "68" in out
     assert "b_1 = 17" in out
+
+
+def test_catalog_out_at_digit_limit_reads_back(capsys, tmp_path):
+    # 4(k^2+1) has exactly 4,300 digits for k = 2*10^2149
+    k = 2 * 10**2149
+    path = tmp_path / "data.json"
+    code, _, err = run(capsys, ["catalog", "s2xs2", "--k", str(k), "--out", str(path)])
+    assert code == 0, err
+    code, out, err = run(capsys, ["localize", "--input", str(path)])
+    assert code == 0, err
+    assert out.count("ok") == 2
+    assert "MISMATCH" not in out
+
+
+def test_catalog_out_refuses_file_past_digit_limit(capsys, tmp_path):
+    k = 2 * 10**2150  # 4(k^2+1) has 4,302 digits
+    path = tmp_path / "data.json"
+    code, out, err = run_big(
+        capsys, ["catalog", "s2xs2", "--k", str(k), "--out", str(path)]
+    )
+    assert code == 1
+    assert out == ""
+    assert "not written" in err and "4300-digit limit" in err
+    assert not path.exists()
+    code, out, err = run_big(capsys, ["catalog", "s2xs2", "--k", str(k)])
+    assert code == 0, err
+    with digits_unlimited():
+        coefficient = json.loads(out)["expected"][0]["coefficient"]
+        assert coefficient == str(4 * (k * k + 1))
 
 
 def test_catalog_localize_verifies_expected(capsys, tmp_path):

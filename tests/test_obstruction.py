@@ -14,12 +14,11 @@ from kappa_forge.obstruction import (
     NotApplicable,
     adams_transform,
     betti_feasible,
-    gcd_power_of_two,
     nonkinetic_certificate,
-    self_map_degree_realizable,
     theorem_a_check,
     weights_to_b,
 )
+from oracles import gcd_power_of_two, self_map_degree_realizable
 
 ALL_FLAGS = HypothesisFlags.all_true()
 

@@ -15,8 +15,8 @@ from kappa_forge.symalg import (
     parse_class_monomial,
     reduce_monomial,
     sigma_eval,
-    signed_doubling_sigma,
 )
+from oracles import signed_doubling_sigma
 
 
 def esp_by_enumeration(i, values):
