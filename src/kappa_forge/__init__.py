@@ -49,16 +49,11 @@ from .obstruction import (
     weights_to_b,
 )
 from .su2rep import (
-    ComplexIrrep,
-    ConstraintCheck,
     RealIrrep,
     RealRep,
     WeightMultiset,
-    check_weight_constraints,
-    complex_irrep_weights,
     parse_real_rep,
     parse_weight_multiset,
-    real_irrep_complexification,
     realize_weights,
     restrict_to_torus,
 )

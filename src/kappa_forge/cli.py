@@ -504,9 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-odd", type=int, required=True)
     p.set_defaults(handler=cmd_betti)
 
-    p = sub.add_parser(
-        "catalog", parents=[fmt_parent], help="generate the worked example families"
-    )
+    p = sub.add_parser("catalog", help="generate the worked example families")
     catalog_sub = p.add_subparsers(dest="family", required=True)
 
     q = catalog_sub.add_parser(

@@ -22,6 +22,7 @@ command-line tool and the example catalog.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +72,7 @@ class FixedComponent:
     weights: WeightVector
 
     def __post_init__(self):
-        object.__setattr__(self, "euler_char", int(self.euler_char))
+        object.__setattr__(self, "euler_char", operator.index(self.euler_char))
         object.__setattr__(self, "weights", WeightVector.of(self.weights))
 
 
@@ -88,13 +89,13 @@ class FixedPointData:
     fiber_euler_char: Optional[int] = None
 
     def __post_init__(self):
-        n = int(self.fiber_half_dim)
+        n = operator.index(self.fiber_half_dim)
         if n < 1:
             raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
         object.__setattr__(self, "fiber_half_dim", n)
         object.__setattr__(self, "components", tuple(self.components))
         if self.fiber_euler_char is not None:
-            object.__setattr__(self, "fiber_euler_char", int(self.fiber_euler_char))
+            object.__setattr__(self, "fiber_euler_char", operator.index(self.fiber_euler_char))
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,12 @@ class KappaValue:
             expected = deg // 4
         else:
             raise DomainError(f"unknown generator '{self.generator}'")
-        if int(self.generator_power) != expected:
+        if operator.index(self.generator_power) != expected:
             raise DomainError(
                 f"generator power {self.generator_power} does not match "
                 f"degree {deg} of {self.class_monomial} on {self.generator}"
             )
-        object.__setattr__(self, "generator_power", int(self.generator_power))
+        object.__setattr__(self, "generator_power", expected)
 
     def to_json_dict(self) -> dict:
         return {

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -414,7 +415,7 @@ def weights_to_b(w: WeightsLike) -> BVector:
 
 def adams_transform(k: int, b: BVector) -> BVector:
     """Rescale b_i by k^{2i}, the effect of the degree-k^2 self-map (k odd)."""
-    k = int(k)
+    k = operator.index(k)
     if k < 1 or k % 2 == 0:
         raise DomainError(
             f"k must be a positive odd integer, got {k}: self-maps of the "
@@ -475,7 +476,7 @@ def nonkinetic_certificate(
         return NotApplicable(
             "hypotheses not all asserted: missing " + ", ".join(flags.missing())
         )
-    k = int(k)
+    k = operator.index(k)
     if k <= 1 or k % 2 == 0:
         raise DomainError(f"k must be an odd integer > 1, got {k}")
     base_verdict = theorem_a_check(b_base, flags)
@@ -514,7 +515,7 @@ def betti_feasible(
         ("m_even", m_even),
         ("m_odd", m_odd),
     ):
-        if int(v) < 0:
+        if operator.index(v) < 0:
             raise DomainError(f"Betti sums are non-negative, got {label}={v}")
     k = w_even - m_even
     if k >= 0 and w_odd - m_odd == k:

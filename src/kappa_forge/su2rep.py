@@ -10,15 +10,20 @@ dimensions 2 mod 4.
 Restricting a real representation to a maximal circle folds the complex
 weights into rotation planes: each pair {+w, -w} with w > 0 becomes one
 plane of weight w, and zero weights pair up two at a time into trivial
-planes.  Weights are stored as non-negative representatives, since a plane
-of weight a and one of weight -a are isomorphic unoriented and every
-Pontryagin-class evaluation depends only on the squares.  Sign conventions
-for Euler-class evaluations live with the fixed-point input data, where
-orientations actually matter.
+planes.  Complexifications are self-dual, so the non-negative half of the
+weights says everything; :func:`_planes` is the one table of it, and both
+:func:`restrict_to_torus` and :func:`realize_weights` read it.  Weights
+are stored as non-negative representatives, since a plane of weight a and
+one of weight -a are isomorphic unoriented and every Pontryagin-class
+evaluation depends only on the squares.  Sign conventions for Euler-class
+evaluations live with the fixed-point input data, where orientations
+actually matter.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -27,35 +32,14 @@ from typing import Iterable, Optional
 from .errors import DomainError, ParseError
 
 __all__ = [
-    "ComplexIrrep",
-    "ConstraintCheck",
     "RealIrrep",
     "RealRep",
     "WeightMultiset",
-    "check_weight_constraints",
-    "complex_irrep_weights",
     "parse_real_rep",
     "parse_weight_multiset",
-    "real_irrep_complexification",
     "realize_weights",
     "restrict_to_torus",
 ]
-
-
-@dataclass(frozen=True)
-class ComplexIrrep:
-    """Irreducible complex representation, labelled by twice its spin."""
-
-    two_lambda: int
-
-    def __post_init__(self):
-        if int(self.two_lambda) < 0:
-            raise DomainError(f"twice-spin must be >= 0, got {self.two_lambda}")
-        object.__setattr__(self, "two_lambda", int(self.two_lambda))
-
-    @property
-    def dim(self) -> int:
-        return self.two_lambda + 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +53,7 @@ class RealIrrep:
     dim: int
 
     def __post_init__(self):
-        d = int(self.dim)
+        d = operator.index(self.dim)
         if d < 1:
             raise DomainError(f"dimension must be >= 1, got {d}")
         if d % 4 == 2:
@@ -120,7 +104,7 @@ class WeightMultiset:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        folded = tuple(sorted((abs(int(a)) for a in self.entries), reverse=True))
+        folded = tuple(sorted(map(abs, map(operator.index, self.entries)), reverse=True))
         object.__setattr__(self, "entries", folded)
 
     @classmethod
@@ -137,113 +121,62 @@ class WeightMultiset:
         return ",".join(str(a) for a in self.entries)
 
 
-def complex_irrep_weights(v: ComplexIrrep) -> tuple[int, ...]:
-    """Torus weights -2l, -2l+2, ..., 2l of the complex irreducible."""
-    return tuple(range(-v.two_lambda, v.two_lambda + 1, 2))
+def _planes(d: int) -> Iterable[int]:
+    """Non-negative torus weights of the real irreducible of dimension ``d``.
 
-
-def real_irrep_complexification(r: RealIrrep) -> tuple[ComplexIrrep, ...]:
-    """Complexify a real irreducible.
-
-    Odd dimension d gives the complex irreducible of twice-spin d - 1;
-    dimension 4q gives two copies of the one with twice-spin 2q - 1.
+    The one table of how a real irreducible meets the torus: the non-negative
+    half of its complexified weights, a 0 being a trivial line.  Odd d = 2m + 1
+    gives 0, 2, ..., 2m; d = 4q gives 1, 3, ..., 2q - 1 twice.  Lazy, so a peel
+    that stops at a missing weight never lists the rest of a huge block.
     """
-    d = r.dim
-    if d % 2 == 1:
-        return (ComplexIrrep(d - 1),)
-    return (ComplexIrrep(d // 2 - 1),) * 2
+    if d % 2:
+        return range(0, d, 2)
+    odd = range(1, d // 2, 2)
+    return itertools.chain(odd, odd)
 
 
 def restrict_to_torus(rep: RealRep) -> WeightMultiset:
-    """Fold the complex torus weights of ``rep`` into real rotation planes.
+    """Fold the torus weights of ``rep`` into real rotation planes.
 
     An odd total dimension is rejected before any irreducible is expanded.
     """
-    # complexification keeps the dimension, so the real total counts the weights
     total = rep.total_dim
     if total % 2:
         raise DomainError(
             f"total dimension {total} is odd: one trivial "
             "line is left over and cannot be paired into a plane"
         )
-    complex_weights: list[int] = []
-    for summand in rep.summands:
-        for irr in real_irrep_complexification(summand):
-            complex_weights.extend(complex_irrep_weights(irr))
-    positive = sorted((x for x in complex_weights if x > 0), reverse=True)
-    zeros = sum(1 for x in complex_weights if x == 0)
-    # complexifications are self-dual, so negatives mirror positives exactly
-    return WeightMultiset(tuple(positive) + (0,) * (zeros // 2))
-
-
-@dataclass(frozen=True)
-class ConstraintCheck:
-    """Outcome of the tangential-weight constraints, with failure reasons."""
-
-    ok: bool
-    failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_weight_constraints(w: WeightMultiset, d: int) -> ConstraintCheck:
-    """Constraints satisfied by every non-trivial d-dimensional real representation.
-
-    The folded weights must stay below d in absolute value and at least one
-    must be 1 or 2.
-    """
-    w = WeightMultiset.of(w)
-    if d <= 0 or d % 2:
-        raise DomainError(f"real dimension must be positive and even, got {d}")
-    if len(w) != d // 2:
-        raise DomainError(
-            f"weight multiset has {len(w)} entries, dimension {d} needs {d // 2}"
-        )
-    failures = []
-    top = max(w.entries)
-    if top > d - 1:
-        failures.append(f"largest weight {top} exceeds the bound {d - 1}")
-    if not any(a in (1, 2) for a in w.entries):
-        failures.append("no weight of absolute value 1 or 2")
-    return ConstraintCheck(not failures, tuple(failures))
+    half = [a for d in rep.dims for a in _planes(d)]
+    lines = half.count(0)
+    return WeightMultiset(tuple(a for a in half if a) + (0,) * (lines // 2))
 
 
 def realize_weights(w: WeightMultiset) -> Optional[RealRep]:
     """Find a real representation whose torus restriction is ``w``, if any.
 
-    Greedy peel of the positive weights, largest first.  The available
-    blocks are the trivial line V1 (lines must pair into weight-0 planes),
-    the odd irreducible V^{2m+1} contributing weights {2, 4, ..., 2m} plus
-    one trivial line, and V^{4q} contributing {1, 3, ..., 2q-1} twice.
-    Since each block's largest weight must match the largest residual
-    weight, the decomposition is forced whenever it exists; ``None`` means
-    infeasible.
+    Greedy peel of :func:`_planes` entries, largest first; a weight-0 plane
+    is two trivial lines.  Only V^{top+1} (even ``top``; V1 for a line) or
+    V^{2top+2} (odd ``top``, carried twice) has largest entry ``top``, so the
+    decomposition is forced whenever it exists; ``None`` means infeasible.
     """
     w = WeightMultiset.of(w)
-    residual = Counter(a for a in w.entries if a > 0)
-    lines_budget = 2 * (len(w) - sum(residual.values()))
+    residual = Counter(w.entries)
+    residual[0] *= 2
     blocks: list[int] = []
     for top in sorted(residual, reverse=True):
         count = residual[top]
         if count == 0:  # all taken by larger blocks
             continue
-        if top % 2:
-            if count % 2:  # V^{4q} carries its top weight twice
+        d, per_block = (2 * top + 2, 2) if top % 2 else (top + 1, 1)
+        copies, left = divmod(count, per_block)
+        if left:
+            return None
+        for weight in _planes(d):
+            residual[weight] -= copies
+            if residual[weight] < 0:
                 return None
-            blocks.extend([2 * (top + 1)] * (count // 2))
-        else:
-            blocks.extend([top + 1] * count)
-        # each block also takes one (even top) or two (odd top) of every
-        # smaller weight of the same parity, so count copies in all
-        for weight in range(top, 0, -2):
-            if residual[weight] < count:
-                return None
-            residual[weight] -= count
-    lines_used = sum(1 for d in blocks if d % 2)
-    if lines_used > lines_budget:
-        return None
-    return RealRep.from_dims(blocks + [1] * (lines_budget - lines_used))
+        blocks.extend([d] * copies)
+    return RealRep.from_dims(blocks)
 
 
 _TERM_RE = re.compile(r"(?:([0-9]+)\*)?v([0-9]+)\Z")

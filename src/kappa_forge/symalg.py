@@ -20,6 +20,7 @@ and sigma_i of squared weights overflows 64 bits already for modest input.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ class WeightVector:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        ws = tuple(int(a) for a in self.weights)
+        ws = tuple(map(operator.index, self.weights))
         if not ws:
             raise DomainError("empty weight vector: a 2n-dimensional fiber needs n >= 1")
         object.__setattr__(self, "weights", ws)
@@ -84,19 +85,20 @@ class CharClassMonomial:
     e_exponent: int = 0
 
     def __post_init__(self):
-        n = int(self.fiber_half_dim)
+        n = operator.index(self.fiber_half_dim)
         if n < 1:
             raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
-        exps = tuple(int(k) for k in self.p_exponents)
+        exps = tuple(map(operator.index, self.p_exponents))
         if len(exps) != n:
             raise DomainError(
                 f"expected {n} Pontryagin exponents, got {len(exps)}"
             )
-        if any(k < 0 for k in exps) or int(self.e_exponent) < 0:
+        e_exp = operator.index(self.e_exponent)
+        if any(k < 0 for k in exps) or e_exp < 0:
             raise DomainError("class-monomial exponents must be non-negative")
         object.__setattr__(self, "fiber_half_dim", n)
         object.__setattr__(self, "p_exponents", exps)
-        object.__setattr__(self, "e_exponent", int(self.e_exponent))
+        object.__setattr__(self, "e_exponent", e_exp)
 
     @classmethod
     def one(cls, n: int) -> "CharClassMonomial":
@@ -180,7 +182,7 @@ def elementary_symmetric(i: int, values: Iterable[int]) -> int:
     sigma_0 is 1 by the empty-product convention.  One truncated pass over
     the n values: O(n*i) big-integer multiply-adds.
     """
-    vals = [int(v) for v in values]
+    vals = list(map(operator.index, values))
     if i < 0 or i > len(vals):
         raise DomainError(
             f"elementary symmetric index {i} outside 0..{len(vals)}"
@@ -205,13 +207,31 @@ def _check_weights(c: CharClassMonomial, w: WeightVector) -> None:
         )
 
 
+# Decimal printing is quadratic in the bit length: 1.8 s at 2**20 bits on CPython
+# 3.11 (2-vCPU VM).  The largest value a test or benchmark job prints has 41k bits.
+_MAX_VALUE_BITS = 2**20
+
+
+def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
+    # a lower bound on the bit length of total * base**k: no value within the
+    # limit is refused, and bases 0 and +-1 never count against it
+    if total.bit_length() + k * (abs(base).bit_length() - 1) > _MAX_VALUE_BITS:
+        raise DomainError(
+            f"the value of {c} would exceed the limit of {_MAX_VALUE_BITS} bits"
+        )
+
+
 def _eval_from(c: CharClassMonomial, e: Sequence[int], euler: int) -> int:
     """The monomial's value from sigma_i of the squares (``e``) and the weight product."""
     total = 1
     for i, k in enumerate(c.p_exponents, start=1):
         if k:
+            if k > 1:
+                _check_power(c, total, e[i], k)
             total *= e[i] ** k
     if c.e_exponent:
+        if c.e_exponent > 1:
+            _check_power(c, total, euler, c.e_exponent)
         total *= euler ** c.e_exponent
     return total
 
@@ -224,7 +244,8 @@ def sigma_eval(c: CharClassMonomial, w: WeightsLike) -> int:
     product of the weights.  The result depends only on the canonical
     class of ``c``, so reduction beforehand is optional.  All factors come
     from one truncated pass up to the highest p-index ``top`` present:
-    O(n*top) big-integer multiply-adds.
+    O(n*top) big-integer multiply-adds.  A value past 2**20 bits raises
+    DomainError before its power is taken.
     """
     w = WeightVector.of(w)
     _check_weights(c, w)

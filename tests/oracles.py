@@ -6,9 +6,11 @@ the package itself.
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 from kappa_forge.errors import DomainError
+from kappa_forge.su2rep import RealIrrep, RealRep, WeightMultiset
 from kappa_forge.symalg import WeightsLike, WeightVector
 
 
@@ -55,3 +57,84 @@ def self_map_degree_realizable(d: int) -> bool:
         return False
     root = math.isqrt(d)
     return root * root == d
+
+
+@dataclass(frozen=True)
+class ComplexIrrep:
+    """Irreducible complex representation, labelled by twice its spin."""
+
+    two_lambda: int
+
+    def __post_init__(self):
+        if int(self.two_lambda) < 0:
+            raise DomainError(f"twice-spin must be >= 0, got {self.two_lambda}")
+        object.__setattr__(self, "two_lambda", int(self.two_lambda))
+
+    @property
+    def dim(self) -> int:
+        return self.two_lambda + 1
+
+
+def complex_irrep_weights(v: ComplexIrrep) -> tuple[int, ...]:
+    """Torus weights -2l, -2l+2, ..., 2l of the complex irreducible."""
+    return tuple(range(-v.two_lambda, v.two_lambda + 1, 2))
+
+
+def real_irrep_complexification(r: RealIrrep) -> tuple[ComplexIrrep, ...]:
+    """Complexify a real irreducible.
+
+    Odd dimension d gives the complex irreducible of twice-spin d - 1;
+    dimension 4q gives two copies of the one with twice-spin 2q - 1.
+    """
+    d = r.dim
+    if d % 2 == 1:
+        return (ComplexIrrep(d - 1),)
+    return (ComplexIrrep(d // 2 - 1),) * 2
+
+
+def restrict_via_complexification(rep: RealRep) -> WeightMultiset:
+    """Torus restriction from the full signed complex weight list.
+
+    Expands every summand's complexification and folds the weights into
+    planes: the positive ones each give a plane, the zeros pair up.
+    """
+    complex_weights: list[int] = []
+    for summand in rep.summands:
+        for irr in real_irrep_complexification(summand):
+            complex_weights.extend(complex_irrep_weights(irr))
+    positive = sorted((x for x in complex_weights if x > 0), reverse=True)
+    zeros = sum(1 for x in complex_weights if x == 0)
+    return WeightMultiset(tuple(positive) + (0,) * (zeros // 2))
+
+
+@dataclass(frozen=True)
+class ConstraintCheck:
+    """Outcome of the tangential-weight constraints, with failure reasons."""
+
+    ok: bool
+    failures: tuple[str, ...]
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def check_weight_constraints(w: WeightMultiset, d: int) -> ConstraintCheck:
+    """Constraints satisfied by every non-trivial d-dimensional real representation.
+
+    The folded weights must stay below d in absolute value and at least one
+    must be 1 or 2.
+    """
+    w = WeightMultiset.of(w)
+    if d <= 0 or d % 2:
+        raise DomainError(f"real dimension must be positive and even, got {d}")
+    if len(w) != d // 2:
+        raise DomainError(
+            f"weight multiset has {len(w)} entries, dimension {d} needs {d // 2}"
+        )
+    failures = []
+    top = max(w.entries)
+    if top > d - 1:
+        failures.append(f"largest weight {top} exceeds the bound {d - 1}")
+    if not any(a in (1, 2) for a in w.entries):
+        failures.append("no weight of absolute value 1 or 2")
+    return ConstraintCheck(not failures, tuple(failures))

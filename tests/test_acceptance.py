@@ -23,19 +23,14 @@ from kappa_forge.obstruction import (
     nonkinetic_certificate,
     weights_to_b,
 )
-from kappa_forge.su2rep import (
-    RealRep,
-    check_weight_constraints,
-    realize_weights,
-    restrict_to_torus,
-)
+from kappa_forge.su2rep import RealRep, realize_weights, restrict_to_torus
 from kappa_forge.symalg import (
     CharClassMonomial,
     elementary_symmetric,
     reduce_monomial,
     sigma_eval,
 )
-from oracles import gcd_power_of_two, signed_doubling_sigma
+from oracles import check_weight_constraints, gcd_power_of_two, signed_doubling_sigma
 
 ALL_FLAGS = HypothesisFlags.all_true()
 

@@ -191,6 +191,28 @@ def test_theorem_a_small_prime_times_two_large_primes():
     assert payload["reasons"] == [{"kind": "gcd_has_odd_prime", "prime": 1000003}]
 
 
+def test_sigma_runaway_exponent_is_refused_at_once():
+    # 5^3000000 has about 7 million bits: printing it in decimal takes many minutes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+
+    def sigma(cls, weights):
+        return subprocess.run(
+            [sys.executable, "-m", "kappa_forge.cli", "sigma", "--class", cls,
+             "--weights", weights],
+            capture_output=True, text=True, env=env, timeout=WITNESS_TIMEOUT_S,
+        )
+
+    for cls in ("p1^3000000", "p1^100000000000"):
+        proc = sigma(cls, "2,1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: the value of {cls} would exceed the limit of 1048576 bits\n"
+        )
+    proc = sigma("p1^100000000000", "1,0")
+    assert (proc.returncode, proc.stdout) == (0, "1\n")
+
+
 def test_adams_certify_not_applicable(capsys):
     code, out, _ = run(
         capsys,
@@ -502,6 +524,14 @@ def test_catalog_wg(capsys):
     code, out, _ = run(capsys, ["catalog", "wg", "--n", "3", "--g", "1"])
     assert code == 0
     assert "not satisfied" in out
+
+
+def test_catalog_group_takes_no_format_option(capsys):
+    # --format belongs to the family; the catalog group itself takes none
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--format", "json", "wg", "--n", "3", "--g", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_catalog_wg_even_n_is_domain_error(capsys):

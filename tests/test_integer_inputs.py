@@ -1,0 +1,59 @@
+"""Integer arguments are taken exactly or refused, never truncated.
+
+A float, a Fraction or a string where an integer belongs raises TypeError
+(``operator.index``); ``int()`` would silently turn 2.9 into 2.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from kappa_forge.catalog import (
+    connected_sum_euler,
+    rationally_odd_check,
+    s2xs2_family,
+    wg_hypothesis_report,
+)
+from kappa_forge.localization import GAMMA, FixedComponent, FixedPointData, KappaValue
+from kappa_forge.obstruction import (
+    HypothesisFlags,
+    adams_transform,
+    betti_feasible,
+    nonkinetic_certificate,
+)
+from kappa_forge.su2rep import RealIrrep, WeightMultiset
+from kappa_forge.symalg import CharClassMonomial, WeightVector, elementary_symmetric
+
+P1 = CharClassMonomial(2, (1, 0))
+
+NOT_INTEGERS = {
+    "WeightVector": lambda: WeightVector((1.7, 2.2)),
+    "CharClassMonomial-n": lambda: CharClassMonomial(Fraction(2), (1, 0)),
+    "CharClassMonomial-p": lambda: CharClassMonomial(2, (1.5, 0)),
+    "CharClassMonomial-e": lambda: CharClassMonomial(1, (1,), 1.5),
+    "elementary_symmetric": lambda: elementary_symmetric(1, [1.5, 2]),
+    "FixedComponent": lambda: FixedComponent("m", -2.9, WeightVector((1, 2))),
+    "FixedPointData-n": lambda: FixedPointData(2.5, ()),
+    "FixedPointData-chi": lambda: FixedPointData(2, (), 4.5),
+    "KappaValue": lambda: KappaValue(P1, 1, GAMMA, 2.0),
+    "RealIrrep": lambda: RealIrrep("3"),
+    "WeightMultiset": lambda: WeightMultiset((1.5, 0)),
+    "adams_transform": lambda: adams_transform(3.9, [1, 2]),
+    "nonkinetic_certificate": lambda: nonkinetic_certificate(
+        [1, 2], 3.5, HypothesisFlags.all_true()
+    ),
+    "betti_feasible": lambda: betti_feasible(2.5, 0, 2, 0),
+    "s2xs2_family": lambda: s2xs2_family(2.5),
+    "connected_sum_euler-chi": lambda: connected_sum_euler(1.5, 2, 4),
+    "connected_sum_euler-g": lambda: connected_sum_euler(2, 2.5, 4),
+    "connected_sum_euler-dim": lambda: connected_sum_euler(2, 2, "4"),
+    "rationally_odd_check": lambda: rationally_odd_check([1, 0, 0.5, 0, 1]),
+    "wg_hypothesis_report-n": lambda: wg_hypothesis_report(3.5, 2),
+    "wg_hypothesis_report-g": lambda: wg_hypothesis_report(3, Fraction(5, 2)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+def test_non_integer_argument_is_type_error(call):
+    with pytest.raises(TypeError):
+        call()

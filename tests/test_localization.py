@@ -292,3 +292,19 @@ def test_parse_rejects_inconsistent_expected_power():
 def test_read_missing_file():
     with pytest.raises(ParseError, match="cannot read"):
         read_fixed_point_file("/nonexistent/nope.json")
+
+
+def test_value_limit_is_the_same_error_on_every_path():
+    # p1 on weights (2, 1) is 5, so p1^3000000 has about 7 million bits
+    c = CharClassMonomial(2, (3000000, 0), 0)
+    data = FixedPointData(2, (FixedComponent("x", 1, WeightVector((2, 1))),))
+    messages = []
+    for call in (
+        lambda: sigma_eval(c, (2, 1)),
+        lambda: localize_circle(data, c),
+        lambda: compare_expected(data, [KappaValue(c, 0, GAMMA, c.degree // 2)]),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        messages.append(str(exc.value))
+    assert messages == ["the value of p1^3000000 would exceed the limit of 1048576 bits"] * 3

@@ -1,20 +1,25 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_forge.errors import DomainError, ParseError
 from kappa_forge.su2rep import (
-    ComplexIrrep,
     RealIrrep,
     RealRep,
     WeightMultiset,
-    check_weight_constraints,
-    complex_irrep_weights,
     parse_real_rep,
     parse_weight_multiset,
-    real_irrep_complexification,
     realize_weights,
     restrict_to_torus,
+)
+from oracles import (
+    ComplexIrrep,
+    check_weight_constraints,
+    complex_irrep_weights,
+    real_irrep_complexification,
+    restrict_via_complexification,
 )
 
 
@@ -109,7 +114,7 @@ def test_restrict_rejects_odd_total_before_expanding(monkeypatch):
     import kappa_forge.su2rep as su2rep
 
     expanded = []
-    monkeypatch.setattr(su2rep, "complex_irrep_weights", expanded.append)
+    monkeypatch.setattr(su2rep, "_planes", expanded.append)
     for text, total in (("V2000001", 2000001), ("1000*V3+V4+V1", 3005)):
         with pytest.raises(DomainError) as exc:
             restrict_to_torus(parse_real_rep(text))
@@ -118,6 +123,23 @@ def test_restrict_rejects_odd_total_before_expanding(monkeypatch):
             "and cannot be paired into a plane"
         )
     assert expanded == []
+
+
+def test_restrict_matches_complexification_exhaustive():
+    for rep in all_real_reps(24):
+        assert restrict_to_torus(rep) == restrict_via_complexification(rep), rep
+
+
+REAL_IRREP_DIMS = [d for d in range(1, 101) if d % 4 != 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.sampled_from(REAL_IRREP_DIMS), min_size=1, max_size=200))
+def test_restrict_matches_complexification_and_round_trips(dims):
+    rep = RealRep.from_dims(dims + [1] * (sum(dims) % 2))
+    w = restrict_to_torus(rep)
+    assert w == restrict_via_complexification(rep)
+    assert realize_weights(w) == rep
 
 
 def test_restrict_cardinality_is_half_dimension():
@@ -189,10 +211,31 @@ def test_realize_round_trip_small():
         assert restrict_to_torus(witness) == w
 
 
+def test_realize_matches_exhaustive_search():
+    # every multiset of m weights in 0..2m, against every representation of
+    # dimension 2m: realize_weights answers exactly for their restrictions
+    for m in range(1, 7):
+        restrictions = {}
+        for rep in all_real_reps(2 * m):
+            if rep.total_dim == 2 * m:
+                w = restrict_via_complexification(rep)
+                assert w not in restrictions, (rep, restrictions.get(w))
+                restrictions[w] = rep
+        for entries in itertools.combinations_with_replacement(range(2 * m + 1), m):
+            w = WeightMultiset(entries)
+            assert realize_weights(w) == restrictions.get(w), w
+
+
 def test_realize_round_trip_many_summands():
     # deep enough to overflow a recursive search
     rep = RealRep.from_dims([3] * 1500)
     assert realize_weights(restrict_to_torus(rep)) == rep
+
+
+def test_realize_huge_weight_fails_at_once():
+    # the peel stops at the first missing weight instead of listing the block
+    assert realize_weights(WeightMultiset((10**18, 0))) is None
+    assert realize_weights(WeightMultiset((10**18 + 1, 10**18 + 1))) is None
 
 
 def test_realize_rejects_nothing_and_is_pure():

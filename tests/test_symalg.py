@@ -133,6 +133,24 @@ def test_sigma_dimension_mismatch():
         sigma_eval(CharClassMonomial.pontryagin(1, 2), (1, 2, 3))
 
 
+def test_sigma_value_limit_is_exact_for_powers_of_two():
+    # p1 on weights (1, 1) is 2, so p1^k is 2^k with k + 1 bits
+    limit = 2**20
+    assert sigma_eval(parse_class_monomial(f"p1^{limit - 1}", 2), (1, 1)) == 2 ** (limit - 1)
+    with pytest.raises(DomainError) as exc:
+        sigma_eval(parse_class_monomial(f"p1^{limit}", 2), (1, 1))
+    assert str(exc.value) == (
+        f"the value of p1^{limit} would exceed the limit of {limit} bits"
+    )
+
+
+def test_sigma_value_limit_never_refuses_bases_zero_and_one():
+    huge = 10**11
+    assert sigma_eval(parse_class_monomial(f"p1^{huge}", 2), (1, 0)) == 1
+    assert sigma_eval(parse_class_monomial(f"e^{huge}*p2^{huge}", 2), (1, -1)) == 1
+    assert sigma_eval(parse_class_monomial(f"p2^{huge}", 2), (5, 0)) == 0
+
+
 @given(
     n=st.integers(1, 4),
     data=st.data(),
