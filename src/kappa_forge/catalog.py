@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import MAX_RESULT_ENTRIES, DomainError
 from .localization import (
     C2,
     GAMMA,
@@ -196,6 +196,10 @@ def wg_hypothesis_report(n: int, g: int) -> WgHypothesisReport:
         )
     if g < 1:
         raise DomainError(f"g must be >= 1, got {g}")
+    if 2 * n + 1 > MAX_RESULT_ENTRIES:
+        raise DomainError(
+            f"the Betti table would exceed the limit of {MAX_RESULT_ENTRIES} entries"
+        )
     chi = connected_sum_euler(0, g, 2 * n)
     betti = [0] * (2 * n + 1)
     betti[0] = betti[2 * n] = 1

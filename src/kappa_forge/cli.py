@@ -18,39 +18,20 @@ Exit status: 0 for every computed verdict (ruled_out, infeasible and
 not-applicable included), 1 for domain errors, 2 for parse or validation
 errors.  --format json|text selects the encoding; the environment variable
 KAPPA_FORGE_FORMAT supplies the default.
+
+Each handler imports the modules it calls, so a run loads only those:
+theorem-a, adams and betti never import localization or symalg.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .catalog import s2xs2_family, wg_hypothesis_report
-from .errors import DomainError, ParseError
-from .localization import (
-    compare_expected,
-    kappa_class_label,
-    localize_circle,
-    pullback_su2,
-    read_fixed_point_file,
-    validate_fixed_data,
-)
-from .obstruction import (
-    BVector,
-    Certificate,
-    HypothesisFlags,
-    adams_transform,
-    betti_feasible,
-    nonkinetic_certificate,
-    theorem_a_check,
-)
-from .su2rep import parse_real_rep, parse_weight_multiset, realize_weights, restrict_to_torus
-from .symalg import parse_class_monomial, sigma_eval
+from .errors import DomainError, ParseError, bounded_fraction
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
 
@@ -115,20 +96,22 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return out
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
+def _parse_fraction_list(text: str) -> list:
     out = []
     for token in text.split(","):
         token = token.strip()
         try:
-            out.append(Fraction(token))
+            out.append(bounded_fraction(token))
+        except ParseError:  # over the digit limit
+            raise
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational '{token}'") from None
-    if not out:
-        raise ParseError("empty rational list")
     return out
 
 
-def _parse_flags(text) -> HypothesisFlags:
+def _parse_flags(text):
+    from .obstruction import HypothesisFlags
+
     if text is None:
         _warn(
             "hypothesis flags not given; defaulting to "
@@ -150,6 +133,8 @@ def _parse_flags(text) -> HypothesisFlags:
 
 
 def _load_file(path):
+    from .localization import read_fixed_point_file, validate_fixed_data
+
     loaded = read_fixed_point_file(path)
     diagnostics = validate_fixed_data(loaded.data)
     errors = [d for d in diagnostics if d.severity == "error"]
@@ -189,6 +174,8 @@ def _run_inputs(args, per_file) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sigma(args) -> int:
+    from .symalg import parse_class_monomial, sigma_eval
+
     weights = _parse_int_list(args.weights, "weight")
     monomial = parse_class_monomial(args.cls, len(weights))
     value = sigma_eval(monomial, weights)
@@ -204,6 +191,9 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    from .localization import compare_expected, kappa_class_label, localize_circle
+    from .symalg import parse_class_monomial
+
     def per_file(path, loaded, prefix):
         n = loaded.data.fiber_half_dim
         if args.cls is not None:
@@ -252,6 +242,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_pullback_su2(args) -> int:
+    from .localization import kappa_class_label, pullback_su2
+
     def per_file(path, loaded, prefix):
         kv, b_i = pullback_su2(loaded.data, args.i)
         label = kappa_class_label(kv.class_monomial)
@@ -273,6 +265,8 @@ def cmd_pullback_su2(args) -> int:
 
 
 def cmd_theorem_a(args) -> int:
+    from .obstruction import BVector, theorem_a_check
+
     b = BVector.of(_parse_fraction_list(args.b))
     flags = _parse_flags(args.flags)
     verdict = theorem_a_check(b, flags)
@@ -289,6 +283,8 @@ def cmd_theorem_a(args) -> int:
 
 
 def cmd_adams(args) -> int:
+    from .obstruction import BVector, Certificate, adams_transform, nonkinetic_certificate
+
     b = BVector.of(_parse_fraction_list(args.b))
     if not args.certify:
         transformed = adams_transform(args.k, b)
@@ -319,6 +315,8 @@ def cmd_adams(args) -> int:
 
 
 def cmd_su2_restrict(args) -> int:
+    from .su2rep import parse_real_rep, restrict_to_torus
+
     rep = parse_real_rep(args.rep)
     weights = restrict_to_torus(rep)
     payload = {"rep": str(rep), "weights": list(weights.entries)}
@@ -327,6 +325,8 @@ def cmd_su2_restrict(args) -> int:
 
 
 def cmd_su2_realize(args) -> int:
+    from .su2rep import parse_weight_multiset, realize_weights
+
     weights = parse_weight_multiset(args.weights)
     rep = realize_weights(weights)
     payload = {
@@ -339,6 +339,8 @@ def cmd_su2_realize(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    from .obstruction import betti_feasible
+
     result = betti_feasible(args.w_even, args.w_odd, args.m_even, args.m_odd)
     payload = {
         "feasible": result.feasible,
@@ -360,6 +362,9 @@ def cmd_betti(args) -> int:
 
 
 def cmd_catalog_s2xs2(args) -> int:
+    from .catalog import s2xs2_family
+    from .localization import kappa_class_label
+
     entry = s2xs2_family(args.k)
     if args.out is None:
         with _unlimited_int_digits():
@@ -383,6 +388,10 @@ def cmd_catalog_s2xs2(args) -> int:
 
 
 def cmd_catalog_wg(args) -> int:
+    import dataclasses
+
+    from .catalog import wg_hypothesis_report
+
     report = wg_hypothesis_report(args.n, args.g)
     payload = dataclasses.asdict(report)
     betti_text = ",".join(str(x) for x in report.betti)

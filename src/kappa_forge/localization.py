@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, bounded_fraction
 from .symalg import (
     CharClassMonomial,
     WeightVector,
@@ -319,6 +319,8 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
     n = _plain_int(obj["fiber_half_dim"], "'fiber_half_dim'")
     if n < 1:
         raise ParseError(f"'fiber_half_dim' must be >= 1, got {n}")
+    if n > MAX_RESULT_ENTRIES:  # every class monomial of the file has n exponents
+        raise ParseError(f"'fiber_half_dim' must be <= {MAX_RESULT_ENTRIES}, got {n}")
     chi = None
     if "fiber_euler_char" in obj:
         chi = _plain_int(obj["fiber_euler_char"], "'fiber_euler_char'")
@@ -363,7 +365,12 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
                     f"{where}: 'coefficient' must be an integer or a 'p/q' string"
                 )
             try:
-                coefficient = Fraction(coeff_raw)
+                if isinstance(coeff_raw, int):
+                    coefficient = Fraction(coeff_raw)
+                else:
+                    coefficient = bounded_fraction(coeff_raw)
+            except ParseError as exc:  # over the digit limit
+                raise ParseError(f"{where}: {exc}") from None
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"{where}: bad coefficient {coeff_raw!r}") from None
             generator = raw.get("generator")

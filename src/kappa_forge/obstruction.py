@@ -27,10 +27,12 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .errors import DomainError
-from .symalg import CharClassMonomial, WeightVector, WeightsLike, sigma_eval_many
+from .errors import MAX_VALUE_BITS, DomainError
+
+if TYPE_CHECKING:
+    from .symalg import WeightsLike
 
 __all__ = [
     "BVector",
@@ -407,6 +409,9 @@ def weights_to_b(w: WeightsLike) -> BVector:
 
     All n values come from one truncated pass: O(n^2) multiply-adds.
     """
+    # imported here so that the verdict and certificate paths never load symalg
+    from .symalg import CharClassMonomial, WeightVector, sigma_eval_many
+
     w = WeightVector.of(w)
     n = len(w)
     p = [CharClassMonomial.pontryagin(i, n) for i in range(1, n + 1)]
@@ -414,7 +419,11 @@ def weights_to_b(w: WeightsLike) -> BVector:
 
 
 def adams_transform(k: int, b: BVector) -> BVector:
-    """Rescale b_i by k^{2i}, the effect of the degree-k^2 self-map (k odd)."""
+    """Rescale b_i by k^{2i}, the effect of the degree-k^2 self-map (k odd).
+
+    A result past 2**20 bits in all raises DomainError before any power is
+    taken.
+    """
     k = operator.index(k)
     if k < 1 or k % 2 == 0:
         raise DomainError(
@@ -422,8 +431,21 @@ def adams_transform(k: int, b: BVector) -> BVector:
             "SU(2) classifying space realize only loop-degree 0 and odd squares"
         )
     b = BVector.of(b)
+    # a lower bound on the numerator bits of k^{2i} b_i, which exceeds
+    # 2^(2i(bits(k) - 1)) / denominator: no vector within the limit is
+    # refused, and k = 1 and zero entries never count against it
+    bits = sum(
+        max(0, 2 * i * (k.bit_length() - 1) - x.denominator.bit_length())
+        for i, x in enumerate(b.entries, start=1)
+        if x
+    )
+    if bits > MAX_VALUE_BITS:
+        raise DomainError(
+            "the k^(2i)-rescaled b-vector would exceed the limit of "
+            f"{MAX_VALUE_BITS} bits"
+        )
     return BVector(
-        tuple(Fraction(k) ** (2 * i) * x for i, x in enumerate(b.entries, start=1))
+        tuple(x * k ** (2 * i) if x else x for i, x in enumerate(b.entries, start=1))
     )
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DomainError, ParseError
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError
 
 __all__ = [
     "RealIrrep",
@@ -187,16 +188,32 @@ def parse_real_rep(text: str) -> RealRep:
     s = re.sub(r"\s+", "", text).lower()
     if not s:
         raise ParseError("empty representation")
-    dims: list[int] = []
+    terms: list[tuple[int, int]] = []
     for term in s.split("+"):
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"bad representation term '{term}'")
-        mult = int(m.group(1)) if m.group(1) else 1
+        try:
+            mult = int(m.group(1)) if m.group(1) else 1
+            dim = int(m.group(2))
+        except ValueError:  # only digits get here: over the int-string digit limit
+            raise ParseError(
+                f"representation term '{term[:20]}...' has a number over the "
+                f"{sys.get_int_max_str_digits()}-digit limit"
+            ) from None
         if mult < 1:
             raise ParseError(f"multiplicity must be >= 1 in '{term}'")
-        dims.extend([int(m.group(2))] * mult)
-    return RealRep.from_dims(dims)
+        terms.append((dim, mult))
+    irreps = [(RealIrrep(dim), mult) for dim, mult in terms]
+    # the restriction has total // 2 planes: refuse it before any summand list
+    if sum(dim * mult for dim, mult in terms) // 2 > MAX_RESULT_ENTRIES:
+        raise DomainError(
+            "the torus restriction would exceed the limit of "
+            f"{MAX_RESULT_ENTRIES} planes"
+        )
+    # copies share one immutable irreducible
+    summands = itertools.chain.from_iterable([irrep] * mult for irrep, mult in irreps)
+    return RealRep(tuple(summands))
 
 
 def parse_weight_multiset(text: str) -> WeightMultiset:

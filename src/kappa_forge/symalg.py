@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, ParseError
+from .errors import MAX_VALUE_BITS, DomainError, ParseError
 
 __all__ = [
     "CharClassMonomial",
@@ -207,17 +207,12 @@ def _check_weights(c: CharClassMonomial, w: WeightVector) -> None:
         )
 
 
-# Decimal printing is quadratic in the bit length: 1.8 s at 2**20 bits on CPython
-# 3.11 (2-vCPU VM).  The largest value a test or benchmark job prints has 41k bits.
-_MAX_VALUE_BITS = 2**20
-
-
 def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
     # a lower bound on the bit length of total * base**k: no value within the
     # limit is refused, and bases 0 and +-1 never count against it
-    if total.bit_length() + k * (abs(base).bit_length() - 1) > _MAX_VALUE_BITS:
+    if total.bit_length() + k * (abs(base).bit_length() - 1) > MAX_VALUE_BITS:
         raise DomainError(
-            f"the value of {c} would exceed the limit of {_MAX_VALUE_BITS} bits"
+            f"the value of {c} would exceed the limit of {MAX_VALUE_BITS} bits"
         )
 
 

@@ -176,6 +176,15 @@ def test_wg_emits_no_weight_data():
     assert not hasattr(report, "weights")
 
 
+def test_wg_refuses_betti_tables_past_the_entry_limit():
+    # the table has 2n + 1 entries; the limit is 2^20
+    report = wg_hypothesis_report(524287, 2)
+    assert len(report.betti) == 1048575
+    assert report.betti[524287] == 4
+    with pytest.raises(DomainError, match="exceed the limit of 1048576 entries"):
+        wg_hypothesis_report(524289, 2)
+
+
 def test_wg_rejects_bad_n_and_g():
     with pytest.raises(DomainError, match="odd"):
         wg_hypothesis_report(4, 2)

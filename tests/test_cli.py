@@ -586,3 +586,109 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# size limits on rationals, b-vectors, representations and Betti tables
+# ---------------------------------------------------------------------------
+
+def run_limited(argv):
+    """The CLI in a subprocess that the parent may hang or exhaust memory on."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kappa_forge.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=WITNESS_TIMEOUT_S,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_exponent_notation_within_limit_keeps_its_output(capsys):
+    code, out, _ = run(capsys, ["theorem-a", "--b", "1e5,0.5,2.5E1", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["b"] == ["100000", "1/2", "25"]
+    # 10^4299 and 1/(2*10^4299) have 4,300 digits, the most a number may have
+    code, out, _ = run(capsys, ["theorem-a", "--b", "1e4299,5e-4300", "--format", "json"])
+    assert code == 0
+    assert [len(x) for x in json.loads(out)["b"]] == [4300, 4302]
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1e5000", "1e4300", "1e-4300", "-3.5e99999", "1e1000000000", "2E-1000000000",
+     "1." + "1" * 4300],
+    ids=lambda token: token[:14],
+)
+def test_rational_past_digit_limit_is_parse_error(token):
+    for argv in (["theorem-a", "--b", f"9,{token}"], ["adams", "--k", "3", f"--b={token}"]):
+        code, out, err = run_limited(argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: rational '{token[:20]}...' has a numerator or denominator "
+            "over the 4300-digit limit\n"
+        )
+
+
+def test_zero_with_a_huge_exponent_is_zero():
+    code, out, err = run_limited(["theorem-a", "--b", "0e99999999999", "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["b"] == ["0"]
+
+
+def test_file_coefficient_with_a_huge_exponent_is_parse_error(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({
+        "fiber_half_dim": 1,
+        "components": [],
+        "expected": [{"class": "p1", "coefficient": "1e1000000000", "generator": "gamma",
+                      "power": 2}],
+    }))
+    assert run_limited(["localize", "--input", str(path)]) == (
+        2, "", f"error: '{path}': expected[0]: rational '1e1000000000...' has a numerator "
+        "or denominator over the 4300-digit limit\n"
+    )
+
+
+def test_bad_exponent_stays_a_bad_rational(capsys):
+    for token in ("1e", "e5", "1/2e5", "1e5.5", "1 e99999999999"):
+        code, out, err = run(capsys, ["theorem-a", "--b", token])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad rational '{token}'\n"
+
+
+def test_adams_refuses_a_runaway_vector():
+    k = 10**999 + 1
+    for n in (50, 100):
+        b = ",".join(["1"] * n)
+        for extra in ([], ["--certify", "--flags=rationally-odd,neg-euler,nontrivial-action"]):
+            code, out, err = run_limited(["adams", "--k", str(k), "--b", b, *extra])
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: the k^(2i)-rescaled b-vector would exceed the limit of 1048576 bits\n"
+            )
+
+
+PLANE_LIMIT = "the torus restriction would exceed the limit of 1048576 planes"
+
+
+@pytest.mark.parametrize(
+    "rep, code, message",
+    [
+        ("10000000*V3", 1, PLANE_LIMIT),
+        ("100000000000*V3", 1, PLANE_LIMIT),
+        ("V" + "7" * 5000, 2, "representation term 'v7777777777777777777...' has a number "
+         "over the 4300-digit limit"),
+        ("9" * 5000 + "*V3", 2, "representation term '99999999999999999999...' has a number "
+         "over the 4300-digit limit"),
+        ("100000000000*V0", 1, "dimension must be >= 1, got 0"),
+    ],
+    ids=["1e7xV3", "1e11xV3", "long-dim", "long-mult", "1e11xV0"],
+)
+def test_restrict_refuses_oversized_representations(rep, code, message):
+    assert run_limited(["su2-restrict", "--rep", rep]) == (code, "", f"error: {message}\n")
+
+
+def test_catalog_wg_refuses_an_oversized_betti_table():
+    assert run_limited(["catalog", "wg", "--n", "99999999999", "--g", "1"]) == (
+        1, "", "error: the Betti table would exceed the limit of 1048576 entries\n"
+    )

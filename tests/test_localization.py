@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_forge.errors import DomainError, ParseError
@@ -287,6 +287,81 @@ def test_parse_rejects_inconsistent_expected_power():
     ]
     with pytest.raises(ParseError, match="power"):
         parse_fixed_point_payload(payload)
+
+
+def test_parse_refuses_fiber_half_dim_past_the_entry_limit():
+    payload = {"fiber_half_dim": 2**20, "components": [], "expected": [
+        {"class": "p1", "coefficient": 0, "generator": "gamma", "power": 2}
+    ]}
+    assert parse_fixed_point_payload(payload).data.fiber_half_dim == 2**20
+    payload["fiber_half_dim"] = 2**20 + 1  # every class monomial would list 2^20 + 1 exponents
+    with pytest.raises(ParseError, match="'fiber_half_dim' must be <= 1048576, got 1048577"):
+        parse_fixed_point_payload(payload)
+
+
+def test_parse_refuses_coefficients_past_the_digit_limit():
+    payload = fixed_point_payload(four_point_data(2))
+    for coefficient in ("1e99999", "1e-4300", "1." + "1" * 4300):
+        payload["expected"] = [
+            {"class": "p1", "coefficient": coefficient, "generator": "gamma", "power": 2}
+        ]
+        with pytest.raises(ParseError, match=r"^expected\[0\]: rational .* over the 4300-digit"):
+            parse_fixed_point_payload(payload)
+    payload["expected"][0]["coefficient"] = "2e1"
+    assert parse_fixed_point_payload(payload).expected[0].coefficient == 20
+
+
+SCHEMA_KEYS = sorted(
+    {"fiber_half_dim", "fiber_euler_char", "components", "expected", "provenance",
+     "name", "euler_char", "weights", "class", "coefficient", "generator", "power"}
+)
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["p1", "e*p2^2", "p1^99999999999", "p3", "1", "gamma", "c2",
+                       "1/2", "1/0", "2.5e1", "1e99999", "-0e-5000", "7e-4300"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=8,
+)
+
+
+def near(valid):
+    """Four times in five a value of the right shape, so parsing gets past the first check."""
+    return st.integers(0, 4).flatmap(lambda i: valid if i else JSON_VALUES)
+
+
+COMPONENTS = near(st.fixed_dictionaries({
+    "name": near(st.text(max_size=3)),
+    "euler_char": near(st.integers(-3, 3)),
+    "weights": near(st.lists(st.integers(-5, 5), max_size=4)),
+}))
+EXPECTED = near(st.fixed_dictionaries({
+    "class": near(st.sampled_from(["p1", "p2", "e", "e*p1", "p1^2", "p1*p2", "x", ""])),
+    "coefficient": near(st.integers(-50, 50) | st.sampled_from(["20", "5/2", "1e2", "1/0"])),
+    "generator": near(st.sampled_from(["gamma", "c2"])),
+    "power": near(st.integers(0, 4)),
+}))
+PAYLOADS = near(st.fixed_dictionaries({
+    "fiber_half_dim": near(st.integers(-1, 3) | st.sampled_from([2**20 + 1, 10**12])),
+    "components": near(st.lists(COMPONENTS, max_size=4)),
+}, optional={
+    "fiber_euler_char": near(st.integers(-4, 4)),
+    "expected": near(st.lists(EXPECTED, max_size=3)),
+    "provenance": near(st.text(max_size=4)),
+}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=PAYLOADS)
+def test_parse_raises_only_package_errors_on_json_values(payload):
+    try:
+        parsed = parse_fixed_point_payload(payload)
+    except (ParseError, DomainError):
+        return
+    assert parsed.data.fiber_half_dim >= 1
 
 
 def test_read_missing_file():

@@ -166,6 +166,22 @@ def test_adams_rejects_even_and_nonpositive_k():
             adams_transform(k, BVector.of([1]))
 
 
+def test_adams_value_limit_is_a_lower_bound():
+    # k = 2^m + 1 gives each entry b_i at least 2im bits, less the denominator's
+    m = 2**19
+    k = 2**m + 1
+    assert adams_transform(k, BVector.of([1])).entries == (k * k,)  # 2^20 bits: kept
+    with pytest.raises(DomainError, match="exceed the limit of 1048576 bits"):
+        adams_transform(2 ** (m + 1) + 1, BVector.of([1]))
+    small = Fraction(1, 2**10)  # an 11-bit denominator lowers the bound by 11
+    assert adams_transform(2 ** (m + 5) + 1, BVector.of([small])).entries[0] > 0
+    with pytest.raises(DomainError):
+        adams_transform(2 ** (m + 6) + 1, BVector.of([small]))
+    # zero entries and k = 1 never count against the limit
+    assert adams_transform(10**999 + 1, BVector.of([1] + [0] * 500)).entries[1:] == (0,) * 500
+    assert adams_transform(1, BVector.of([7] * 5000)).entries == (7,) * 5000
+
+
 @given(
     k1=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]),
     k2=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]),

@@ -1,0 +1,141 @@
+"""What each CLI call imports, and the lazily filled package namespace."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kappa_forge
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# the namespace as it was when __init__ imported every module eagerly
+PUBLIC_NAMES = {
+    "catalog": [
+        "CatalogEntry", "RationalOddity", "WgHypothesisReport", "connected_sum_euler",
+        "rationally_odd_check", "s2xs2_family", "wg_hypothesis_report",
+    ],
+    "errors": ["DomainError", "KappaForgeError", "ParseError"],
+    "localization": [
+        "C2", "GAMMA", "Diagnostic", "ExpectedComparison", "FixedComponent",
+        "FixedPointData", "FixedPointFile", "KappaValue", "compare_expected",
+        "fixed_point_payload", "gamma_to_c2", "localize_circle",
+        "parse_fixed_point_payload", "pullback_su2", "read_fixed_point_file",
+        "validate_fixed_data", "write_fixed_point_file",
+    ],
+    "obstruction": [
+        "BVector", "BettiFeasibility", "Certificate", "HypothesisFlags", "NotApplicable",
+        "Reason", "Verdict", "adams_transform", "betti_feasible",
+        "nonkinetic_certificate", "theorem_a_check", "weights_to_b",
+    ],
+    "su2rep": [
+        "RealIrrep", "RealRep", "WeightMultiset", "parse_real_rep",
+        "parse_weight_multiset", "realize_weights", "restrict_to_torus",
+    ],
+    "symalg": [
+        "CharClassMonomial", "WeightVector", "degree", "elementary_symmetric",
+        "parse_class_monomial", "reduce_monomial", "sigma_eval", "sigma_eval_many",
+    ],
+}
+
+# runs the CLI in a fresh interpreter, then prints the package modules it loaded
+PROBE = """
+import contextlib, io, json, sys
+from kappa_forge.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("kappa_forge."))
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+DATA = {
+    "fiber_half_dim": 2,
+    "fiber_euler_char": 4,
+    "components": [
+        {"name": f"p{j}", "euler_char": 1, "weights": [s1 * 2, s2]}
+        for j, (s1, s2) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    ],
+    "expected": [{"class": "p1", "coefficient": 20, "generator": "gamma", "power": 2}],
+}
+FLAGS = "--flags=rationally-odd,neg-euler,nontrivial-action"
+FILES = {"errors", "localization", "symalg"}
+CATALOG = {"catalog", "errors", "localization", "obstruction", "symalg"}
+
+
+def probe(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    return set(result["loaded"]) - {"cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sigma", "--class", "p1", "--weights", "1,2"], {"errors", "symalg"}),
+        (["localize", "--input", "{data}"], FILES),
+        (["localize", "--input", "{data}", "--class", "p1"], FILES),
+        (["pullback-su2", "--input", "{data}", "--i", "1"], FILES),
+        (["theorem-a", "--b", "9,18", FLAGS], {"errors", "obstruction"}),
+        (["adams", "--k", "3", "--b", "1,2"], {"errors", "obstruction"}),
+        (["adams", "--k", "3", "--b", "1,2", "--certify", FLAGS], {"errors", "obstruction"}),
+        (["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"],
+         {"errors", "obstruction"}),
+        (["su2-restrict", "--rep", "V3+V1"], {"errors", "su2rep"}),
+        (["su2-realize", "--weights", "2,0"], {"errors", "su2rep"}),
+        (["catalog", "s2xs2", "--k", "2"], CATALOG),
+        (["catalog", "wg", "--n", "3", "--g", "2"], CATALOG),
+    ],
+    ids=lambda v: " ".join(v[:4]) if isinstance(v, list) else "",
+)
+def test_subcommand_loads_only_its_modules(tmp_path, argv, expected):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(DATA))
+    assert probe([a.replace("{data}", str(data)) for a in argv]) == expected
+
+
+def test_importing_the_package_loads_no_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, kappa_forge; "
+        "print(sorted(m for m in sys.modules if m.startswith('kappa_forge.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_namespace_keeps_every_name_as_the_same_object():
+    expected = [name for names in PUBLIC_NAMES.values() for name in names]
+    assert sorted(kappa_forge.__all__) == sorted(expected)
+    assert len(kappa_forge.__all__) == len(set(kappa_forge.__all__)) == 54
+    for module_name, names in PUBLIC_NAMES.items():
+        module = getattr(kappa_forge, module_name)
+        assert module is sys.modules[f"kappa_forge.{module_name}"]
+        for name in names:
+            assert getattr(kappa_forge, name) is getattr(module, name), name
+            assert name in vars(kappa_forge), name  # cached after the first lookup
+    assert kappa_forge.__version__ == "0.1.0"
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace = {}
+    exec("from kappa_forge import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(kappa_forge.__all__)
+    assert set(kappa_forge.__all__) | set(PUBLIC_NAMES) <= set(dir(kappa_forge))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        kappa_forge.cli_main
+    assert not hasattr(kappa_forge, "kappa_class_label")  # localization-only name

@@ -125,6 +125,24 @@ def test_restrict_rejects_odd_total_before_expanding(monkeypatch):
     assert expanded == []
 
 
+def test_parse_refuses_restrictions_past_the_plane_limit():
+    # V^d restricts to d // 2 planes; the limit is 2^20 planes
+    assert parse_real_rep("V2097152").dims == (2097152,)
+    assert parse_real_rep("699050*V3+2*V1").total_dim == 2097152
+    for text in ("V2097152+V3", "699052*V3", "V2097156"):
+        with pytest.raises(DomainError, match="exceed the limit of 1048576 planes"):
+            parse_real_rep(text)
+    # an odd total at the limit still meets the odd-total check
+    with pytest.raises(DomainError, match="total dimension 2097153 is odd"):
+        restrict_to_torus(parse_real_rep("V2097153"))
+
+
+def test_parse_shares_one_irreducible_per_term():
+    rep = parse_real_rep("3*V4+2*V1")
+    assert rep.dims == (4, 4, 4, 1, 1)
+    assert len({id(r) for r in rep.summands}) == 2
+
+
 def test_restrict_matches_complexification_exhaustive():
     for rep in all_real_reps(24):
         assert restrict_to_torus(rep) == restrict_via_complexification(rep), rep
