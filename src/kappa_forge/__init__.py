@@ -60,7 +60,6 @@ _MODULE_EXPORTS = {
         "weights_to_b",
     ),
     "su2rep": (
-        "RealIrrep",
         "RealRep",
         "WeightMultiset",
         "parse_real_rep",
@@ -71,7 +70,6 @@ _MODULE_EXPORTS = {
     "symalg": (
         "CharClassMonomial",
         "WeightVector",
-        "degree",
         "elementary_symmetric",
         "parse_class_monomial",
         "reduce_monomial",

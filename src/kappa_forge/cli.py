@@ -91,8 +91,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
             out.append(int(token))
         except ValueError:
             raise ParseError(f"bad {what} '{token}'") from None
-    if not out:
-        raise ParseError(f"empty {what} list")
     return out
 
 
@@ -394,21 +392,23 @@ def cmd_catalog_wg(args) -> int:
 
     report = wg_hypothesis_report(args.n, args.g)
     payload = dataclasses.asdict(report)
-    betti_text = ",".join(str(x) for x in report.betti)
-    lines = [
-        f"{report.manifold} (dimension {2 * report.n})",
-        f"euler characteristic: {report.euler_char}",
-        f"rationally odd: {'yes' if report.rationally_odd else 'no'} (betti {betti_text})",
-        f"building-block fixed set: {report.fixed_set} (non-empty)",
-    ]
-    if report.theorems_apply:
-        lines.append("obstruction hypotheses: satisfied")
-    else:
-        lines.append(
-            "obstruction hypotheses: not satisfied "
-            f"(euler characteristic {report.euler_char} is not negative)"
-        )
-    _emit(args, payload, lines)
+    # 2g and 2 - 2g have one digit more than g
+    with _unlimited_int_digits():
+        betti_text = ",".join(str(x) for x in report.betti)
+        lines = [
+            f"{report.manifold} (dimension {2 * report.n})",
+            f"euler characteristic: {report.euler_char}",
+            f"rationally odd: {'yes' if report.rationally_odd else 'no'} (betti {betti_text})",
+            f"building-block fixed set: {report.fixed_set} (non-empty)",
+        ]
+        if report.theorems_apply:
+            lines.append("obstruction hypotheses: satisfied")
+        else:
+            lines.append(
+                "obstruction hypotheses: not satisfied "
+                f"(euler characteristic {report.euler_char} is not negative)"
+            )
+        _emit(args, payload, lines)
     return 0
 
 

@@ -5,14 +5,18 @@ dimension 2l + 1 and torus weights -2l, -2l + 2, ..., 2l.  Over the reals
 the picture is rigid: one irreducible in every odd dimension d (its
 complexification stays irreducible), one in every dimension divisible by
 four (complexifying to a doubled irreducible), and none at all in
-dimensions 2 mod 4.
+dimensions 2 mod 4.  A real representation is therefore stored as
+(dimension, multiplicity) pairs, whose size is the number of distinct
+dimensions, however large the multiplicities.
 
 Restricting a real representation to a maximal circle folds the complex
 weights into rotation planes: each pair {+w, -w} with w > 0 becomes one
 plane of weight w, and zero weights pair up two at a time into trivial
 planes.  Complexifications are self-dual, so the non-negative half of the
 weights says everything; :func:`_planes` is the one table of it, and both
-:func:`restrict_to_torus` and :func:`realize_weights` read it.  Weights
+:func:`restrict_to_torus` and :func:`realize_weights` read it.  Only
+:func:`restrict_to_torus` lists planes, so it alone holds the limit on
+their number, for library callers and the CLI alike.  Weights
 are stored as non-negative representatives, since a plane of weight a and
 one of weight -a are isomorphic unoriented and every Pontryagin-class
 evaluation depends only on the squares.  Sign conventions for Euler-class
@@ -33,7 +37,6 @@ from typing import Iterable, Optional
 from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError
 
 __all__ = [
-    "RealIrrep",
     "RealRep",
     "WeightMultiset",
     "parse_real_rep",
@@ -44,58 +47,39 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RealIrrep:
-    """Irreducible real representation, labelled by its dimension.
+class RealRep:
+    """Finite direct sum of real irreducibles as (dimension, multiplicity) pairs.
 
     Valid dimensions are the odd ones and the multiples of four; nothing
-    irreducible exists in dimensions 2 mod 4.
+    irreducible exists in dimensions 2 mod 4.  Repeated dimensions are
+    merged, and the terms are stored largest dimension first.
     """
 
-    dim: int
+    terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        d = operator.index(self.dim)
-        if d < 1:
-            raise DomainError(f"dimension must be >= 1, got {d}")
-        if d % 4 == 2:
-            raise DomainError(
-                f"no irreducible real representation has dimension {d}: "
-                "dimensions 2 mod 4 do not occur"
-            )
-        object.__setattr__(self, "dim", d)
-
-
-@dataclass(frozen=True)
-class RealRep:
-    """Finite direct sum of real irreducibles, stored sorted by dimension."""
-
-    summands: tuple[RealIrrep, ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.summands, key=lambda r: r.dim, reverse=True))
-        object.__setattr__(self, "summands", ordered)
-
-    @classmethod
-    def from_dims(cls, dims: Iterable[int]) -> "RealRep":
-        return cls(tuple(RealIrrep(d) for d in dims))
+        merged: dict[int, int] = {}
+        for dim, mult in self.terms:
+            d, m = operator.index(dim), operator.index(mult)
+            if d < 1:
+                raise DomainError(f"dimension must be >= 1, got {d}")
+            if d % 4 == 2:
+                raise DomainError(
+                    f"no irreducible real representation has dimension {d}: "
+                    "dimensions 2 mod 4 do not occur"
+                )
+            if m < 1:
+                raise DomainError(f"multiplicity must be >= 1, got {m}")
+            merged[d] = merged.get(d, 0) + m
+        object.__setattr__(self, "terms", tuple(sorted(merged.items(), reverse=True)))
 
     @property
     def total_dim(self) -> int:
-        return sum(r.dim for r in self.summands)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(r.dim for r in self.summands)
+        return sum(d * m for d, m in self.terms)
 
     def __str__(self) -> str:
-        if not self.summands:
-            return "0"
-        counts = Counter(self.dims)
-        parts = []
-        for d in sorted(counts, reverse=True):
-            mult = counts[d]
-            parts.append(f"V{d}" if mult == 1 else f"{mult}*V{d}")
-        return "+".join(parts)
+        parts = (f"V{d}" if m == 1 else f"{m}*V{d}" for d, m in self.terms)
+        return "+".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -139,17 +123,28 @@ def _planes(d: int) -> Iterable[int]:
 def restrict_to_torus(rep: RealRep) -> WeightMultiset:
     """Fold the torus weights of ``rep`` into real rotation planes.
 
-    An odd total dimension is rejected before any irreducible is expanded.
+    The result has total_dim // 2 planes.  More than the result limit, or an
+    odd total dimension, is refused before any irreducible is expanded.
     """
     total = rep.total_dim
+    if total // 2 > MAX_RESULT_ENTRIES:
+        raise DomainError(
+            "the torus restriction would exceed the limit of "
+            f"{MAX_RESULT_ENTRIES} planes"
+        )
     if total % 2:
         raise DomainError(
             f"total dimension {total} is odd: one trivial "
             "line is left over and cannot be paired into a plane"
         )
-    half = [a for d in rep.dims for a in _planes(d)]
-    lines = half.count(0)
-    return WeightMultiset(tuple(a for a in half if a) + (0,) * (lines // 2))
+    half: list[int] = []
+    for d, m in rep.terms:
+        half += list(_planes(d)) * m
+    # the even total leaves an even number of trivial lines, sorted last:
+    # every two of them make one weight-0 plane
+    half.sort(reverse=True)
+    del half[len(half) - half.count(0) // 2 :]
+    return WeightMultiset(tuple(half))
 
 
 def realize_weights(w: WeightMultiset) -> Optional[RealRep]:
@@ -163,7 +158,7 @@ def realize_weights(w: WeightMultiset) -> Optional[RealRep]:
     w = WeightMultiset.of(w)
     residual = Counter(w.entries)
     residual[0] *= 2
-    blocks: list[int] = []
+    blocks: list[tuple[int, int]] = []
     for top in sorted(residual, reverse=True):
         count = residual[top]
         if count == 0:  # all taken by larger blocks
@@ -176,8 +171,8 @@ def realize_weights(w: WeightMultiset) -> Optional[RealRep]:
             residual[weight] -= copies
             if residual[weight] < 0:
                 return None
-        blocks.extend([d] * copies)
-    return RealRep.from_dims(blocks)
+        blocks.append((d, copies))
+    return RealRep(tuple(blocks))
 
 
 _TERM_RE = re.compile(r"(?:([0-9]+)\*)?v([0-9]+)\Z")
@@ -204,16 +199,7 @@ def parse_real_rep(text: str) -> RealRep:
         if mult < 1:
             raise ParseError(f"multiplicity must be >= 1 in '{term}'")
         terms.append((dim, mult))
-    irreps = [(RealIrrep(dim), mult) for dim, mult in terms]
-    # the restriction has total // 2 planes: refuse it before any summand list
-    if sum(dim * mult for dim, mult in terms) // 2 > MAX_RESULT_ENTRIES:
-        raise DomainError(
-            "the torus restriction would exceed the limit of "
-            f"{MAX_RESULT_ENTRIES} planes"
-        )
-    # copies share one immutable irreducible
-    summands = itertools.chain.from_iterable([irrep] * mult for irrep, mult in irreps)
-    return RealRep(tuple(summands))
+    return RealRep(tuple(terms))
 
 
 def parse_weight_multiset(text: str) -> WeightMultiset:

@@ -33,7 +33,6 @@ __all__ = [
     "CharClassMonomial",
     "WeightVector",
     "WeightsLike",
-    "degree",
     "elementary_symmetric",
     "parse_class_monomial",
     "reduce_monomial",
@@ -160,11 +159,6 @@ def reduce_monomial(m: CharClassMonomial) -> CharClassMonomial:
     exps = list(m.p_exponents)
     exps[-1] += pairs
     return CharClassMonomial(m.fiber_half_dim, tuple(exps), rest)
-
-
-def degree(m: CharClassMonomial) -> int:
-    """Cohomological degree of the monomial (invariant under reduction)."""
-    return m.degree
 
 
 def _elementary_upto(top: int, values: Sequence[int]) -> list[int]:

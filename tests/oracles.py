@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from kappa_forge.errors import DomainError
-from kappa_forge.su2rep import RealIrrep, RealRep, WeightMultiset
+from kappa_forge.su2rep import RealRep, WeightMultiset
 from kappa_forge.symalg import WeightsLike, WeightVector
 
 
@@ -80,13 +80,17 @@ def complex_irrep_weights(v: ComplexIrrep) -> tuple[int, ...]:
     return tuple(range(-v.two_lambda, v.two_lambda + 1, 2))
 
 
-def real_irrep_complexification(r: RealIrrep) -> tuple[ComplexIrrep, ...]:
-    """Complexify a real irreducible.
+def rep_of_dims(dims: Iterable[int]) -> RealRep:
+    """The direct sum of one real irreducible per entry of ``dims``."""
+    return RealRep(tuple((d, 1) for d in dims))
+
+
+def real_irrep_complexification(d: int) -> tuple[ComplexIrrep, ...]:
+    """Complexify the real irreducible of dimension ``d``.
 
     Odd dimension d gives the complex irreducible of twice-spin d - 1;
     dimension 4q gives two copies of the one with twice-spin 2q - 1.
     """
-    d = r.dim
     if d % 2 == 1:
         return (ComplexIrrep(d - 1),)
     return (ComplexIrrep(d // 2 - 1),) * 2
@@ -99,9 +103,9 @@ def restrict_via_complexification(rep: RealRep) -> WeightMultiset:
     planes: the positive ones each give a plane, the zeros pair up.
     """
     complex_weights: list[int] = []
-    for summand in rep.summands:
-        for irr in real_irrep_complexification(summand):
-            complex_weights.extend(complex_irrep_weights(irr))
+    for d, mult in rep.terms:
+        for irr in real_irrep_complexification(d):
+            complex_weights.extend(complex_irrep_weights(irr) * mult)
     positive = sorted((x for x in complex_weights if x > 0), reverse=True)
     zeros = sum(1 for x in complex_weights if x == 0)
     return WeightMultiset(tuple(positive) + (0,) * (zeros // 2))

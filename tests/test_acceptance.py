@@ -23,14 +23,19 @@ from kappa_forge.obstruction import (
     nonkinetic_certificate,
     weights_to_b,
 )
-from kappa_forge.su2rep import RealRep, realize_weights, restrict_to_torus
+from kappa_forge.su2rep import realize_weights, restrict_to_torus
 from kappa_forge.symalg import (
     CharClassMonomial,
     elementary_symmetric,
     reduce_monomial,
     sigma_eval,
 )
-from oracles import check_weight_constraints, gcd_power_of_two, signed_doubling_sigma
+from oracles import (
+    check_weight_constraints,
+    gcd_power_of_two,
+    rep_of_dims,
+    signed_doubling_sigma,
+)
 
 ALL_FLAGS = HypothesisFlags.all_true()
 
@@ -121,7 +126,7 @@ def _all_real_reps_even_total(max_total):
 
     for combo in rec(max_total, max_total):
         if combo and sum(combo) % 2 == 0:
-            yield RealRep.from_dims(combo)
+            yield rep_of_dims(combo)
 
 
 def test_criterion_6_representation_round_trip():
@@ -132,7 +137,7 @@ def test_criterion_6_representation_round_trip():
         w = restrict_to_torus(rep)
         witness = realize_weights(w)
         ok = ok and witness is not None and restrict_to_torus(witness) == w
-        if any(d > 1 for d in rep.dims):  # the constraints hold for non-trivial reps
+        if any(d > 1 for d, _ in rep.terms):  # the constraints hold for non-trivial reps
             ok = ok and check_weight_constraints(w, rep.total_dim).ok
     ok = ok and count > 1000  # the enumeration really is exhaustive, not a stub
     report(6, f"round-trip and weight constraints over {count} representations", ok)

@@ -483,6 +483,24 @@ def test_sigma_prints_past_digit_limit(capsys, fmt):
         assert value == 2000000**800
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_catalog_wg_prints_past_digit_limit(capsys, fmt):
+    g_text = "9" * 4300  # parses; 2g and 2 - 2g have 4,301 digits
+    g = int(g_text)
+    code, out, err = run_big(
+        capsys, ["catalog", "wg", "--n", "3", "--g", g_text, "--format", fmt]
+    )
+    assert code == 0, err
+    with digits_unlimited():
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["euler_char"] == 2 - 2 * g
+            assert payload["betti"] == [1, 0, 0, 2 * g, 0, 0, 1]
+        else:
+            assert f"euler characteristic: {2 - 2 * g}\n" in out
+            assert f"(betti 1,0,0,{2 * g},0,0,1)\n" in out
+
+
 def test_over_long_weight_argument_is_parse_error(capsys):
     code, out, err = run_big(capsys, ["sigma", "--class", "p1", "--weights", "9" * 5000])
     assert code == 2

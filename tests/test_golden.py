@@ -184,6 +184,12 @@ CALLS = [
     ["su2-restrict", "--rep", "V1"],
     ["su2-restrict", "--rep", "V6"],
     ["su2-restrict", "--rep", "W3"],
+    ["su2-restrict", "--rep", "V1+V1"],
+    ["su2-restrict", "--rep", "3*V1+V1+V4"],
+    ["su2-restrict", "--rep", "V4+2*V4"],
+    ["su2-restrict", "--rep", "V6+W3"],
+    ["su2-restrict", "--rep", "V6+0*V1"],
+    ["su2-restrict", "--rep", "V2097155"],
     ["su2-realize", "--weights", "1,1"],
     ["su2-realize", "--weights", "4"],
     ["su2-realize", "--weights", "2,0"],
@@ -193,6 +199,7 @@ CALLS = [
     ["su2-realize", "--weights", "2,2"],
     ["su2-realize", "--weights", ""],
     ["su2-realize", "--weights", "1,y"],
+    ["su2-realize", "--weights", "0,0,0,0"],
     ["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"],
     ["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "2", "--m-odd", "0"],
     ["betti", "--w-even", "2", "--w-odd", "-6", "--m-even", "1", "--m-odd", "5"],

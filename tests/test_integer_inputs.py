@@ -21,7 +21,7 @@ from kappa_forge.obstruction import (
     betti_feasible,
     nonkinetic_certificate,
 )
-from kappa_forge.su2rep import RealIrrep, WeightMultiset
+from kappa_forge.su2rep import RealRep, WeightMultiset
 from kappa_forge.symalg import CharClassMonomial, WeightVector, elementary_symmetric
 
 P1 = CharClassMonomial(2, (1, 0))
@@ -36,7 +36,7 @@ NOT_INTEGERS = {
     "FixedPointData-n": lambda: FixedPointData(2.5, ()),
     "FixedPointData-chi": lambda: FixedPointData(2, (), 4.5),
     "KappaValue": lambda: KappaValue(P1, 1, GAMMA, 2.0),
-    "RealIrrep": lambda: RealIrrep("3"),
+    "RealRep": lambda: RealRep((("3", 1),)),
     "WeightMultiset": lambda: WeightMultiset((1.5, 0)),
     "adams_transform": lambda: adams_transform(3.9, [1, 2]),
     "nonkinetic_certificate": lambda: nonkinetic_certificate(

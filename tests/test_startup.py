@@ -32,12 +32,12 @@ PUBLIC_NAMES = {
         "nonkinetic_certificate", "theorem_a_check", "weights_to_b",
     ],
     "su2rep": [
-        "RealIrrep", "RealRep", "WeightMultiset", "parse_real_rep",
-        "parse_weight_multiset", "realize_weights", "restrict_to_torus",
+        "RealRep", "WeightMultiset", "parse_real_rep", "parse_weight_multiset",
+        "realize_weights", "restrict_to_torus",
     ],
     "symalg": [
-        "CharClassMonomial", "WeightVector", "degree", "elementary_symmetric",
-        "parse_class_monomial", "reduce_monomial", "sigma_eval", "sigma_eval_many",
+        "CharClassMonomial", "WeightVector", "elementary_symmetric", "parse_class_monomial",
+        "reduce_monomial", "sigma_eval", "sigma_eval_many",
     ],
 }
 
@@ -118,7 +118,7 @@ def test_importing_the_package_loads_no_module():
 def test_namespace_keeps_every_name_as_the_same_object():
     expected = [name for names in PUBLIC_NAMES.values() for name in names]
     assert sorted(kappa_forge.__all__) == sorted(expected)
-    assert len(kappa_forge.__all__) == len(set(kappa_forge.__all__)) == 54
+    assert len(kappa_forge.__all__) == len(set(kappa_forge.__all__)) == 52
     for module_name, names in PUBLIC_NAMES.items():
         module = getattr(kappa_forge, module_name)
         assert module is sys.modules[f"kappa_forge.{module_name}"]

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,6 @@ from hypothesis import strategies as st
 
 from kappa_forge.errors import DomainError, ParseError
 from kappa_forge.su2rep import (
-    RealIrrep,
     RealRep,
     WeightMultiset,
     parse_real_rep,
@@ -19,8 +22,11 @@ from oracles import (
     check_weight_constraints,
     complex_irrep_weights,
     real_irrep_complexification,
+    rep_of_dims,
     restrict_via_complexification,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def all_real_reps(max_total, require_even=True):
@@ -37,7 +43,7 @@ def all_real_reps(max_total, require_even=True):
 
     for combo in rec(max_total, max_total):
         if combo and (not require_even or sum(combo) % 2 == 0):
-            yield RealRep.from_dims(combo)
+            yield rep_of_dims(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +74,12 @@ def test_complex_irrep_rejects_negative():
 # ---------------------------------------------------------------------------
 
 def test_complexification_odd_dimension():
-    (c,) = real_irrep_complexification(RealIrrep(3))
+    (c,) = real_irrep_complexification(3)
     assert c == ComplexIrrep(2)
 
 
 def test_complexification_dimension_four():
-    assert real_irrep_complexification(RealIrrep(4)) == (
+    assert real_irrep_complexification(4) == (
         ComplexIrrep(1),
         ComplexIrrep(1),
     )
@@ -81,13 +87,13 @@ def test_complexification_dimension_four():
 
 def test_no_real_irrep_in_dimension_two_mod_four():
     for d in (2, 6, 10, 14):
-        with pytest.raises(DomainError):
-            RealIrrep(d)
+        with pytest.raises(DomainError, match="dimensions 2 mod 4 do not occur"):
+            RealRep(((d, 1),))
 
 
 def test_complexification_preserves_dimension():
     for d in (1, 3, 4, 5, 7, 8, 9, 11, 12, 16, 21, 24):
-        parts = real_irrep_complexification(RealIrrep(d))
+        parts = real_irrep_complexification(d)
         assert sum(c.dim for c in parts) == d
 
 
@@ -96,18 +102,18 @@ def test_complexification_preserves_dimension():
 # ---------------------------------------------------------------------------
 
 def test_restrict_regular_representation():
-    assert restrict_to_torus(RealRep.from_dims([4])).entries == (1, 1)
+    assert restrict_to_torus(rep_of_dims([4])).entries == (1, 1)
 
 
 def test_restrict_v3_plus_trivial():
-    assert restrict_to_torus(RealRep.from_dims([3, 1])).entries == (2, 0)
+    assert restrict_to_torus(rep_of_dims([3, 1])).entries == (2, 0)
 
 
 def test_restrict_rejects_odd_total():
     with pytest.raises(DomainError, match="odd"):
-        restrict_to_torus(RealRep.from_dims([1]))
+        restrict_to_torus(rep_of_dims([1]))
     with pytest.raises(DomainError, match="odd"):
-        restrict_to_torus(RealRep.from_dims([3, 4]))
+        restrict_to_torus(rep_of_dims([3, 4]))
 
 
 def test_restrict_rejects_odd_total_before_expanding(monkeypatch):
@@ -127,20 +133,70 @@ def test_restrict_rejects_odd_total_before_expanding(monkeypatch):
 
 def test_parse_refuses_restrictions_past_the_plane_limit():
     # V^d restricts to d // 2 planes; the limit is 2^20 planes
-    assert parse_real_rep("V2097152").dims == (2097152,)
+    assert parse_real_rep("V2097152").terms == ((2097152, 1),)
     assert parse_real_rep("699050*V3+2*V1").total_dim == 2097152
     for text in ("V2097152+V3", "699052*V3", "V2097156"):
         with pytest.raises(DomainError, match="exceed the limit of 1048576 planes"):
-            parse_real_rep(text)
+            restrict_to_torus(parse_real_rep(text))
     # an odd total at the limit still meets the odd-total check
     with pytest.raises(DomainError, match="total dimension 2097153 is odd"):
         restrict_to_torus(parse_real_rep("V2097153"))
 
 
-def test_parse_shares_one_irreducible_per_term():
-    rep = parse_real_rep("3*V4+2*V1")
-    assert rep.dims == (4, 4, 4, 1, 1)
-    assert len({id(r) for r in rep.summands}) == 2
+def test_parse_stores_one_pair_per_term():
+    assert parse_real_rep("3*V4+2*V1").terms == ((4, 3), (1, 2))
+
+
+def test_real_rep_merges_repeated_dimensions():
+    assert parse_real_rep("V1+V4+2*V1+V4").terms == ((4, 2), (1, 3))
+    assert RealRep(((1, 2), (3, 1), (1, 5))) == RealRep(((3, 1), (1, 7)))
+    assert RealRep(()).terms == ()
+
+
+def test_real_rep_rejects_bad_terms():
+    with pytest.raises(DomainError, match="dimension must be >= 1, got 0"):
+        RealRep(((0, 1),))
+    with pytest.raises(DomainError, match="multiplicity must be >= 1, got 0"):
+        RealRep(((3, 0),))
+    with pytest.raises(DomainError, match="multiplicity must be >= 1, got -2"):
+        RealRep(((3, 1), (3, -2)))
+
+
+def test_parse_keeps_huge_multiplicities_as_one_term():
+    rep = parse_real_rep(f"{10**40}*V1")
+    assert rep.terms == ((1, 10**40),)
+    with pytest.raises(DomainError, match="exceed the limit of 1048576 planes"):
+        restrict_to_torus(rep)
+
+
+# the child caps its address space at 1 GB, so listing the planes of a huge
+# summand ends in MemoryError there instead of taking the machine's memory
+HUGE_SUMMAND = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from kappa_forge.errors import DomainError
+from kappa_forge.su2rep import RealRep, restrict_to_torus
+rep = RealRep(((2**33 + 1, 1),) + ((1, 1),) * int(sys.argv[1]))
+start = time.perf_counter()
+try:
+    restrict_to_torus(rep)
+except DomainError as exc:
+    print(f"{time.perf_counter() - start:.6f} {exc}")
+"""
+
+
+@pytest.mark.parametrize("trivial_lines", [0, 1])  # V(2^33 + 1) alone has an odd total
+def test_restrict_refuses_a_huge_summand_at_once(trivial_lines):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_SUMMAND, str(trivial_lines)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    elapsed, message = proc.stdout.strip().split(" ", 1)
+    assert float(elapsed) < 1
+    assert message == "the torus restriction would exceed the limit of 1048576 planes"
 
 
 def test_restrict_matches_complexification_exhaustive():
@@ -154,7 +210,7 @@ REAL_IRREP_DIMS = [d for d in range(1, 101) if d % 4 != 2]
 @settings(max_examples=60, deadline=None)
 @given(dims=st.lists(st.sampled_from(REAL_IRREP_DIMS), min_size=1, max_size=200))
 def test_restrict_matches_complexification_and_round_trips(dims):
-    rep = RealRep.from_dims(dims + [1] * (sum(dims) % 2))
+    rep = rep_of_dims(dims + [1] * (sum(dims) % 2))
     w = restrict_to_torus(rep)
     assert w == restrict_via_complexification(rep)
     assert realize_weights(w) == rep
@@ -192,7 +248,7 @@ def test_constraints_rejects_bad_shapes():
 
 def test_nontrivial_reps_satisfy_constraints_small():
     for rep in all_real_reps(16):
-        if all(d == 1 for d in rep.dims):
+        if all(d == 1 for d, _ in rep.terms):
             continue
         w = restrict_to_torus(rep)
         assert check_weight_constraints(w, rep.total_dim).ok, rep
@@ -203,8 +259,8 @@ def test_nontrivial_reps_satisfy_constraints_small():
 # ---------------------------------------------------------------------------
 
 def test_realize_examples():
-    assert realize_weights(WeightMultiset((1, 1))) == RealRep.from_dims([4])
-    assert realize_weights(WeightMultiset((2, 0))) == RealRep.from_dims([3, 1])
+    assert realize_weights(WeightMultiset((1, 1))) == rep_of_dims([4])
+    assert realize_weights(WeightMultiset((2, 0))) == rep_of_dims([3, 1])
     assert realize_weights(WeightMultiset((4,))) is None
 
 
@@ -218,7 +274,7 @@ def test_realize_infeasible_cases():
 
 def test_realize_pure_zeros():
     rep = realize_weights(WeightMultiset((0, 0)))
-    assert rep == RealRep.from_dims([1, 1, 1, 1])
+    assert rep == rep_of_dims([1, 1, 1, 1])
 
 
 def test_realize_round_trip_small():
@@ -246,7 +302,7 @@ def test_realize_matches_exhaustive_search():
 
 def test_realize_round_trip_many_summands():
     # deep enough to overflow a recursive search
-    rep = RealRep.from_dims([3] * 1500)
+    rep = rep_of_dims([3] * 1500)
     assert realize_weights(restrict_to_torus(rep)) == rep
 
 
@@ -260,7 +316,7 @@ def test_realize_rejects_nothing_and_is_pure():
     w = WeightMultiset((3, 3, 1, 1))
     first = realize_weights(w)
     second = realize_weights(w)
-    assert first == second == RealRep.from_dims([8])
+    assert first == second == rep_of_dims([8])
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +325,9 @@ def test_realize_rejects_nothing_and_is_pure():
 
 def test_parse_real_rep():
     rep = parse_real_rep("V3+V4+2*V1")
-    assert rep.dims == (4, 3, 1, 1)
-    assert parse_real_rep("v4") == RealRep.from_dims([4])
-    assert parse_real_rep(" 2 * V1 + V3 ") == RealRep.from_dims([3, 1, 1])
+    assert rep.terms == ((4, 1), (3, 1), (1, 2))
+    assert parse_real_rep("v4") == rep_of_dims([4])
+    assert parse_real_rep(" 2 * V1 + V3 ") == rep_of_dims([3, 1, 1])
 
 
 def test_parse_real_rep_rejects_garbage():
@@ -288,8 +344,8 @@ def test_parse_real_rep_rejects_garbage():
 
 
 def test_real_rep_formatting():
-    assert str(RealRep.from_dims([4, 3, 1, 1])) == "V4+V3+2*V1"
-    assert str(RealRep.from_dims([5])) == "V5"
+    assert str(rep_of_dims([4, 3, 1, 1])) == "V4+V3+2*V1"
+    assert str(rep_of_dims([5])) == "V5"
 
 
 def test_parse_weight_multiset_folds_signs():
