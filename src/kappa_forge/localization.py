@@ -32,6 +32,7 @@ from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, bounded_fractio
 from .symalg import (
     CharClassMonomial,
     WeightVector,
+    _trusted_weights,
     parse_class_monomial,
     reduce_monomial,
     sigma_eval,
@@ -76,12 +77,27 @@ class FixedComponent:
         object.__setattr__(self, "weights", WeightVector.of(self.weights))
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _trusted_component(name: str, euler_char: int, weights: tuple[int, ...]) -> FixedComponent:
+    """The component of values the parser has just checked, without converting them again."""
+    comp = _new(FixedComponent)
+    _set(comp, "name", name)
+    _set(comp, "euler_char", euler_char)
+    _set(comp, "weights", _trusted_weights(weights))
+    return comp
+
+
 @dataclass(frozen=True)
 class FixedPointData:
     """Fixed-point data of a circle action on a 2n-dimensional fiber.
 
     Construction is deliberately lenient about cross-field consistency;
     :func:`validate_fixed_data` reports problems instead of repairing them.
+    Its diagnostics are computed once per object and kept in a private
+    attribute that is no field: equality, hashing, ``repr`` and
+    ``dataclasses.asdict`` never see it.
     """
 
     fiber_half_dim: int
@@ -150,20 +166,36 @@ class KappaValue:
         }
 
 
+_DIAGNOSTICS = "_diagnostics"  # where a FixedPointData keeps its validation result
+
+
 def validate_fixed_data(d: FixedPointData) -> list[Diagnostic]:
-    """Structural checks; errors make the data unusable, infos are advisory."""
+    """Structural checks; errors make the data unusable, infos are advisory.
+
+    The checks run once per object: later calls, and the localization
+    functions, reuse the diagnostics kept on ``d``.
+    """
+    stored = getattr(d, _DIAGNOSTICS, None)
+    if stored is None:
+        stored = tuple(_diagnose(d))
+        object.__setattr__(d, _DIAGNOSTICS, stored)
+    return list(stored)
+
+
+def _diagnose(d: FixedPointData) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     n = d.fiber_half_dim
     for comp in d.components:
-        if len(comp.weights) != n:
+        weights = comp.weights.weights
+        if len(weights) != n:
             out.append(
                 Diagnostic(
                     "error",
                     f"component '{comp.name}': expected {n} weights, "
-                    f"got {len(comp.weights)}",
+                    f"got {len(weights)}",
                 )
             )
-        elif any(a == 0 for a in comp.weights):
+        elif 0 in weights:
             out.append(
                 Diagnostic(
                     "info",
@@ -185,7 +217,10 @@ def validate_fixed_data(d: FixedPointData) -> list[Diagnostic]:
 
 
 def _require_usable(d: FixedPointData) -> None:
-    errors = [diag for diag in validate_fixed_data(d) if diag.severity == "error"]
+    diagnostics = getattr(d, _DIAGNOSTICS, None)
+    if diagnostics is None:
+        diagnostics = validate_fixed_data(d)
+    errors = [diag for diag in diagnostics if diag.severity == "error"]
     if errors:
         raise DomainError("; ".join(diag.message for diag in errors))
 
@@ -309,6 +344,30 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ParseError(f"unknown key '{unknown[0]}' in {where}")
 
 
+def _exact_ints(values: list) -> bool:
+    for a in values:
+        if type(a) is not int:
+            return False
+    return True
+
+
+def _parse_component(idx: int, raw) -> FixedComponent:
+    """One entry of 'components', with every check that can name what is wrong in it."""
+    where = f"components[{idx}]"
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where} must be an object")
+    _reject_unknown(raw, _COMPONENT_KEYS, where)
+    name = raw.get("name")
+    if not isinstance(name, str):
+        raise ParseError(f"{where}: 'name' must be a string")
+    euler_char = _plain_int(raw.get("euler_char"), f"{where}: 'euler_char'")
+    raw_weights = raw.get("weights")
+    if not isinstance(raw_weights, list) or not raw_weights:
+        raise ParseError(f"{where}: 'weights' must be a non-empty array")
+    weights = [_plain_int(a, f"{where}: weight") for a in raw_weights]
+    return FixedComponent(name, euler_char, WeightVector(tuple(weights)))
+
+
 def parse_fixed_point_payload(obj) -> FixedPointFile:
     """Validate a decoded JSON object against the fixed-point file schema."""
     if not isinstance(obj, dict):
@@ -329,19 +388,20 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
         raise ParseError("'components' must be an array")
     components = []
     for idx, raw in enumerate(raw_components):
-        where = f"components[{idx}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where} must be an object")
-        _reject_unknown(raw, _COMPONENT_KEYS, where)
-        name = raw.get("name")
-        if not isinstance(name, str):
-            raise ParseError(f"{where}: 'name' must be a string")
-        euler_char = _plain_int(raw.get("euler_char"), f"{where}: 'euler_char'")
-        raw_weights = raw.get("weights")
-        if not isinstance(raw_weights, list) or not raw_weights:
-            raise ParseError(f"{where}: 'weights' must be a non-empty array")
-        weights = [_plain_int(a, f"{where}: weight") for a in raw_weights]
-        components.append(FixedComponent(name, euler_char, WeightVector(tuple(weights))))
+        # lean path: a well-formed entry of exact JSON types is taken as it is;
+        # anything else, bool and int subclasses included, goes through _parse_component
+        if type(raw) is dict and raw.keys() <= _COMPONENT_KEYS:
+            name, euler_char, raw_weights = raw.get("name"), raw.get("euler_char"), raw.get("weights")
+            if (
+                type(name) is str
+                and type(euler_char) is int
+                and type(raw_weights) is list
+                and raw_weights
+                and _exact_ints(raw_weights)
+            ):
+                components.append(_trusted_component(name, euler_char, tuple(raw_weights)))
+                continue
+        components.append(_parse_component(idx, raw))
     data = FixedPointData(n, tuple(components), chi)
 
     expected = None

@@ -144,7 +144,10 @@ def restrict_to_torus(rep: RealRep) -> WeightMultiset:
     # every two of them make one weight-0 plane
     half.sort(reverse=True)
     del half[len(half) - half.count(0) // 2 :]
-    return WeightMultiset(tuple(half))
+    # already folded and sorted: skip the constructor's second pass over it
+    w = object.__new__(WeightMultiset)
+    object.__setattr__(w, "entries", tuple(half))
+    return w
 
 
 def realize_weights(w: WeightMultiset) -> Optional[RealRep]:

@@ -69,6 +69,19 @@ class WeightVector:
 
 WeightsLike = Union[WeightVector, Sequence[int]]
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _trusted_weights(weights: tuple[int, ...]) -> WeightVector:
+    """The vector of a non-empty tuple of exact ints, without checking them again.
+
+    For a parser that has just checked every entry; anything else goes
+    through the constructor.
+    """
+    w = _new(WeightVector)
+    _set(w, "weights", weights)
+    return w
+
 
 @dataclass(frozen=True)
 class CharClassMonomial:
@@ -195,9 +208,9 @@ def _top_index(c: CharClassMonomial) -> int:
 
 def _check_weights(c: CharClassMonomial, w: WeightVector) -> None:
     n = c.fiber_half_dim
-    if len(w) != n:
+    if len(w.weights) != n:
         raise DomainError(
-            f"weight vector has {len(w)} entries, monomial expects {n}"
+            f"weight vector has {len(w.weights)} entries, monomial expects {n}"
         )
 
 
@@ -250,11 +263,15 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
     every factor: O(n*top) big-integer multiply-adds in all, not per monomial.
     """
     w = WeightVector.of(w)
+    n = len(w.weights)
+    top, needs_euler = 0, False
     for c in monomials:
-        _check_weights(c, w)
-    top = max((_top_index(c) for c in monomials), default=0)
+        if c.fiber_half_dim != n:
+            _check_weights(c, w)
+        top = max(top, _top_index(c))
+        needs_euler = needs_euler or c.e_exponent > 0
     e = _elementary_upto(top, [a * a for a in w.weights])
-    euler = prod(w.weights) if any(c.e_exponent for c in monomials) else 1
+    euler = prod(w.weights) if needs_euler else 1
     return [_eval_from(c, e, euler) for c in monomials]
 
 

@@ -7,11 +7,20 @@ the package itself.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
-from kappa_forge.errors import DomainError
+from kappa_forge.errors import MAX_RESULT_ENTRIES, DomainError, ParseError, bounded_fraction
+from kappa_forge.localization import (
+    C2,
+    GAMMA,
+    FixedComponent,
+    FixedPointData,
+    FixedPointFile,
+    KappaValue,
+)
 from kappa_forge.su2rep import RealRep, WeightMultiset
-from kappa_forge.symalg import WeightsLike, WeightVector
+from kappa_forge.symalg import WeightsLike, WeightVector, parse_class_monomial
 
 
 def signed_doubling_sigma(i: int, w: WeightsLike) -> int:
@@ -142,3 +151,108 @@ def check_weight_constraints(w: WeightMultiset, d: int) -> ConstraintCheck:
     if not any(a in (1, 2) for a in w.entries):
         failures.append("no weight of absolute value 1 or 2")
     return ConstraintCheck(not failures, tuple(failures))
+
+
+# The fixed-point file parser as it was before its component loop got a lean
+# path: every entry goes through the checks and the public constructors.
+# Kept unchanged as the reference the lean parser must agree with, value for
+# value and error for error.
+
+_TOP_KEYS = {"fiber_half_dim", "fiber_euler_char", "components", "expected", "provenance"}
+_COMPONENT_KEYS = {"name", "euler_char", "weights"}
+_EXPECTED_KEYS = {"class", "coefficient", "generator", "power"}
+
+
+def _plain_int(value, where: str) -> int:
+    # bool is an int subclass; JSON true/false must not sneak in as 1/0
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ParseError(f"unknown key '{unknown[0]}' in {where}")
+
+
+def parse_fixed_point_payload(obj) -> FixedPointFile:
+    """Validate a decoded JSON object against the fixed-point file schema."""
+    if not isinstance(obj, dict):
+        raise ParseError("top-level JSON value must be an object")
+    _reject_unknown(obj, _TOP_KEYS, "fixed-point data")
+    if "fiber_half_dim" not in obj:
+        raise ParseError("missing key 'fiber_half_dim'")
+    n = _plain_int(obj["fiber_half_dim"], "'fiber_half_dim'")
+    if n < 1:
+        raise ParseError(f"'fiber_half_dim' must be >= 1, got {n}")
+    if n > MAX_RESULT_ENTRIES:  # every class monomial of the file has n exponents
+        raise ParseError(f"'fiber_half_dim' must be <= {MAX_RESULT_ENTRIES}, got {n}")
+    chi = None
+    if "fiber_euler_char" in obj:
+        chi = _plain_int(obj["fiber_euler_char"], "'fiber_euler_char'")
+    raw_components = obj.get("components")
+    if not isinstance(raw_components, list):
+        raise ParseError("'components' must be an array")
+    components = []
+    for idx, raw in enumerate(raw_components):
+        where = f"components[{idx}]"
+        if not isinstance(raw, dict):
+            raise ParseError(f"{where} must be an object")
+        _reject_unknown(raw, _COMPONENT_KEYS, where)
+        name = raw.get("name")
+        if not isinstance(name, str):
+            raise ParseError(f"{where}: 'name' must be a string")
+        euler_char = _plain_int(raw.get("euler_char"), f"{where}: 'euler_char'")
+        raw_weights = raw.get("weights")
+        if not isinstance(raw_weights, list) or not raw_weights:
+            raise ParseError(f"{where}: 'weights' must be a non-empty array")
+        weights = [_plain_int(a, f"{where}: weight") for a in raw_weights]
+        components.append(FixedComponent(name, euler_char, WeightVector(tuple(weights))))
+    data = FixedPointData(n, tuple(components), chi)
+
+    expected = None
+    if "expected" in obj:
+        raw_expected = obj["expected"]
+        if not isinstance(raw_expected, list):
+            raise ParseError("'expected' must be an array")
+        parsed = []
+        for idx, raw in enumerate(raw_expected):
+            where = f"expected[{idx}]"
+            if not isinstance(raw, dict):
+                raise ParseError(f"{where} must be an object")
+            _reject_unknown(raw, _EXPECTED_KEYS, where)
+            cls_text = raw.get("class")
+            if not isinstance(cls_text, str):
+                raise ParseError(f"{where}: 'class' must be a string")
+            monomial = parse_class_monomial(cls_text, n)
+            coeff_raw = raw.get("coefficient")
+            if isinstance(coeff_raw, bool) or not isinstance(coeff_raw, (int, str)):
+                raise ParseError(
+                    f"{where}: 'coefficient' must be an integer or a 'p/q' string"
+                )
+            try:
+                if isinstance(coeff_raw, int):
+                    coefficient = Fraction(coeff_raw)
+                else:
+                    coefficient = bounded_fraction(coeff_raw)
+            except ParseError as exc:  # over the digit limit
+                raise ParseError(f"{where}: {exc}") from None
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"{where}: bad coefficient {coeff_raw!r}") from None
+            generator = raw.get("generator")
+            if generator not in (GAMMA, C2):
+                raise ParseError(f"{where}: 'generator' must be 'gamma' or 'c2'")
+            power = _plain_int(raw.get("power"), f"{where}: 'power'")
+            try:
+                parsed.append(KappaValue(monomial, coefficient, generator, power))
+            except DomainError as exc:
+                raise ParseError(f"{where}: {exc}") from None
+        expected = tuple(parsed)
+
+    provenance = None
+    if "provenance" in obj:
+        provenance = obj["provenance"]
+        if not isinstance(provenance, str):
+            raise ParseError("'provenance' must be a string")
+    return FixedPointFile(data, expected, provenance)
