@@ -391,7 +391,9 @@ def cmd_catalog_wg(args) -> int:
     from .catalog import wg_hypothesis_report
 
     report = wg_hypothesis_report(args.n, args.g)
-    payload = dataclasses.asdict(report)
+    # asdict would keep the HypothesisFlags record, which json cannot encode
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    payload["hypotheses"] = report.hypotheses.to_json_dict()
     # 2g and 2 - 2g have one digit more than g
     with _unlimited_int_digits():
         betti_text = ",".join(str(x) for x in report.betti)

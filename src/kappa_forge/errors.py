@@ -1,4 +1,4 @@
-"""Exception types and size limits shared across the package."""
+"""Exception types, size limits and the frozen record type shared across the package."""
 
 import sys
 
@@ -10,6 +10,82 @@ MAX_VALUE_BITS = 2**20
 # The longest list built from a size the caller gives: the planes of a torus
 # restriction, the entries of a Betti table, a data file's fiber half-dimension.
 MAX_RESULT_ENTRIES = 2**20
+
+
+class Record:
+    """A slotted, frozen value: what ``@dataclass(frozen=True)`` gave, without its import.
+
+    ``dataclasses`` loads ``inspect`` and ``ast``, which cost a short CLI call
+    more than its arithmetic.  A subclass lists its fields in ``__slots__`` and
+    the defaults of its trailing fields in ``_defaults``; ``__post_init__``
+    runs after the fields are set and may normalize them with
+    ``object.__setattr__``.  Instances compare equal only to the same class
+    with equal fields, hash and print like the dataclass did, refuse
+    assignment and deletion, and copy and pickle through the constructor.
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(names)} arguments "
+                f"but {len(args)} were given"
+            )
+        first_default = len(names) - len(cls._defaults)
+        for i, name in enumerate(names):
+            if i < len(args):
+                if name in kwargs:
+                    raise TypeError(
+                        f"{cls.__qualname__}() got multiple values for argument '{name}'"
+                    )
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            elif i >= first_default:
+                value = cls._defaults[i - first_default]
+            else:
+                raise TypeError(
+                    f"{cls.__qualname__}() missing required argument: '{name}'"
+                )
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(
+                f"{cls.__qualname__}() got an unexpected keyword argument "
+                f"'{next(iter(kwargs))}'"
+            )
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}' of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}' of a frozen record")
+
+    def __reduce__(self):
+        # the default slot-state restore goes through the refused __setattr__
+        return type(self), self._values()
 
 
 class KappaForgeError(ValueError):

@@ -25,13 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .errors import MAX_VALUE_BITS, DomainError
+from .errors import MAX_VALUE_BITS, DomainError, Record
 
+TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
+    from typing import Iterable, Optional, Union
+
     from .symalg import WeightsLike
 
 __all__ = [
@@ -55,10 +56,10 @@ CONSISTENT = "consistent"
 RULED_OUT = "ruled_out"
 
 
-@dataclass(frozen=True)
-class BVector:
+class BVector(Record):
     """Exact rational coefficients b_1..b_n of the normalized kappa-values."""
 
+    __slots__ = ("entries",)
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -81,10 +82,10 @@ class BVector:
         return ",".join(str(x) for x in self.entries)
 
 
-@dataclass(frozen=True)
-class HypothesisFlags:
+class HypothesisFlags(Record):
     """Caller-asserted topological hypotheses under which the test obstructs."""
 
+    __slots__ = ("rationally_odd", "negative_euler_char", "nontrivial_action_assumed")
     rationally_odd: bool
     negative_euler_char: bool
     nontrivial_action_assumed: bool
@@ -111,19 +112,24 @@ class HypothesisFlags:
         return cls(True, True, True)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "rationally_odd": self.rationally_odd,
+            "negative_euler_char": self.negative_euler_char,
+            "nontrivial_action_assumed": self.nontrivial_action_assumed,
+        }
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(Record):
     """Why a b-vector is ruled out.
 
     kind is one of 'non_integer' (detail: 1-based index),
     'gcd_has_odd_prime' (detail: the prime) or 'all_zero'.
     """
 
+    __slots__ = ("kind", "detail")
+    _defaults = (None,)
     kind: str
-    detail: Optional[int] = None
+    detail: Optional[int]
 
     def __str__(self) -> str:
         if self.kind == "non_integer":
@@ -141,8 +147,7 @@ class Reason:
         return payload
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of the obstruction test on one b-vector.
 
     ``applicable`` records whether all hypothesis flags were asserted; the
@@ -150,6 +155,7 @@ class Verdict:
     verdict obstructs anything.
     """
 
+    __slots__ = ("status", "reasons", "applicable")
     status: str
     reasons: tuple[Reason, ...]
     applicable: bool
@@ -449,17 +455,20 @@ def adams_transform(k: int, b: BVector) -> BVector:
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Arithmetic witness that the k-twisted bundle is not action-induced."""
 
+    __slots__ = (
+        "k", "b_base", "b_transformed", "gcd", "witness_prime", "hypotheses", "conclusion"
+    )
+    _defaults = ("non-kinetic",)
     k: int
     b_base: BVector
     b_transformed: BVector
     gcd: int
     witness_prime: int
     hypotheses: HypothesisFlags
-    conclusion: str = "non-kinetic"
+    conclusion: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -473,10 +482,10 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(Record):
     """The certificate pipeline declined; the reason says why."""
 
+    __slots__ = ("reason",)
     reason: str
 
     def to_json_dict(self) -> dict:
@@ -514,8 +523,8 @@ def nonkinetic_certificate(
     return Certificate(k, b_base, transformed, g, _smallest_odd_prime_factor(g), flags)
 
 
-@dataclass(frozen=True)
-class BettiFeasibility:
+class BettiFeasibility(Record):
+    __slots__ = ("feasible", "k")
     feasible: bool
     k: Optional[int]
 

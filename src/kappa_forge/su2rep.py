@@ -31,10 +31,12 @@ import operator
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record
+
+TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
+if TYPE_CHECKING:
+    from typing import Iterable, Optional
 
 __all__ = [
     "RealRep",
@@ -46,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealRep:
+class RealRep(Record):
     """Finite direct sum of real irreducibles as (dimension, multiplicity) pairs.
 
     Valid dimensions are the odd ones and the multiples of four; nothing
@@ -55,6 +56,7 @@ class RealRep:
     merged, and the terms are stored largest dimension first.
     """
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -82,10 +84,10 @@ class RealRep:
         return "+".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(Record):
     """Multiset of non-negative circle weights, one entry per rotation plane."""
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
     def __post_init__(self):

@@ -1,16 +1,27 @@
 """Reference implementations the tests compare the package against.
 
 Each one computes its answer the slow, direct way and has no caller in
-the package itself.
+the package itself.  One shared check holds the frozen-record result
+types to the frozen-dataclass behaviour they replaced.
 """
 
+import copy
 import itertools
 import math
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from kappa_forge.errors import MAX_RESULT_ENTRIES, DomainError, ParseError, bounded_fraction
+import pytest
+
+from kappa_forge.errors import (
+    MAX_RESULT_ENTRIES,
+    DomainError,
+    ParseError,
+    Record,
+    bounded_fraction,
+)
 from kappa_forge.localization import (
     C2,
     GAMMA,
@@ -21,6 +32,52 @@ from kappa_forge.localization import (
 )
 from kappa_forge.su2rep import RealRep, WeightMultiset
 from kappa_forge.symalg import WeightsLike, WeightVector, parse_class_monomial
+
+
+def check_frozen_record(value: Record, text: str) -> None:
+    """Check ``value`` behaves as the ``@dataclass(frozen=True)`` it replaced did.
+
+    ``text`` is the repr that dataclass printed for the same value.  Python's
+    own exceptions are the reference: a missing or unknown argument is a
+    TypeError, assignment and deletion an AttributeError.
+    """
+    cls = type(value)
+    names = cls.__slots__
+    values = tuple(getattr(value, name) for name in names)
+    assert repr(value) == text
+    for same in (cls(*values), cls(**dict(zip(names, values)))):
+        assert same == value and not same != value
+        assert hash(same) == hash(value)
+    # the same name, fields and values in another class: never equal
+    twin = type(cls.__name__, (Record,), {"__slots__": names})(*values)
+    assert repr(twin) == text
+    assert twin != value and value != twin
+    assert value != values
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
+    assert tuple(getattr(value, name) for name in names) == values
+    for restored in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+    ):
+        assert type(restored) is cls
+        assert restored == value and hash(restored) == hash(value)
+        assert repr(restored) == text
+    required = len(names) - len(cls._defaults)
+    with pytest.raises(TypeError):
+        cls(*values[: required - 1])
+    with pytest.raises(TypeError):
+        cls(*values, unknown_field=1)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
 
 
 def signed_doubling_sigma(i: int, w: WeightsLike) -> int:

@@ -10,15 +10,18 @@ from kappa_forge.obstruction import (
     RULED_OUT,
     BVector,
     Certificate,
+    BettiFeasibility,
     HypothesisFlags,
     NotApplicable,
+    Reason,
+    Verdict,
     adams_transform,
     betti_feasible,
     nonkinetic_certificate,
     theorem_a_check,
     weights_to_b,
 )
-from oracles import gcd_power_of_two, self_map_degree_realizable
+from oracles import check_frozen_record, gcd_power_of_two, self_map_degree_realizable
 
 ALL_FLAGS = HypothesisFlags.all_true()
 
@@ -330,3 +333,64 @@ def test_bvector_parsing_and_formatting():
     b = BVector.of(["1/2", 3, Fraction(-7, 4)])
     assert str(b) == "1/2,3,-7/4"
     assert len(b) == 3
+
+
+# ---------------------------------------------------------------------------
+# result types: frozen records with the dataclass behaviour
+# ---------------------------------------------------------------------------
+
+FLAGS_TEXT = (
+    "HypothesisFlags(rationally_odd=True, negative_euler_char=True, "
+    "nontrivial_action_assumed=True)"
+)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (
+            BVector((1, Fraction(1, 2))),
+            "BVector(entries=(Fraction(1, 1), Fraction(1, 2)))",
+        ),
+        (
+            HypothesisFlags(True, False, True),
+            "HypothesisFlags(rationally_odd=True, negative_euler_char=False, "
+            "nontrivial_action_assumed=True)",
+        ),
+        (Reason("all_zero"), "Reason(kind='all_zero', detail=None)"),
+        (Reason("gcd_has_odd_prime", 3), "Reason(kind='gcd_has_odd_prime', detail=3)"),
+        (
+            theorem_a_check(BVector((0, 0)), ALL_FLAGS),
+            "Verdict(status='ruled_out', reasons=(Reason(kind='all_zero', detail=None),), "
+            "applicable=True)",
+        ),
+        (
+            nonkinetic_certificate(BVector((1, 2)), 3, ALL_FLAGS),
+            "Certificate(k=3, b_base=BVector(entries=(Fraction(1, 1), Fraction(2, 1))), "
+            "b_transformed=BVector(entries=(Fraction(9, 1), Fraction(162, 1))), gcd=9, "
+            f"witness_prime=3, hypotheses={FLAGS_TEXT}, conclusion='non-kinetic')",
+        ),
+        (NotApplicable("no flags"), "NotApplicable(reason='no flags')"),
+        (BettiFeasibility(True, 1), "BettiFeasibility(feasible=True, k=1)"),
+        (BettiFeasibility(False, None), "BettiFeasibility(feasible=False, k=None)"),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else "",
+)
+def test_result_types_keep_the_frozen_dataclass_behaviour(value, text):
+    check_frozen_record(value, text)
+
+
+def test_record_defaults_and_normalization():
+    assert Reason(kind="all_zero") == Reason("all_zero", None)
+    cert = nonkinetic_certificate(BVector((1, 2)), 3, ALL_FLAGS)
+    assert cert.conclusion == "non-kinetic"
+    assert Certificate(*[getattr(cert, f) for f in Certificate.__slots__[:-1]]) == cert
+    # __post_init__ still runs: entries become Fractions, and a bad verdict is refused
+    assert BVector(entries=(1, "1/2")).entries == (Fraction(1), Fraction(1, 2))
+    with pytest.raises(DomainError):
+        Verdict(RULED_OUT, (), True)
+    assert HypothesisFlags(True, False, True).to_json_dict() == {
+        "rationally_odd": True,
+        "negative_euler_char": False,
+        "nontrivial_action_assumed": True,
+    }

@@ -65,17 +65,33 @@ FILES = {"errors", "localization", "symalg"}
 CATALOG = {"catalog", "errors", "localization", "obstruction", "symalg"}
 
 
-def probe(argv):
+# the same, but lists every module loaded after the interpreter's own start-up:
+# a module that a site hook preloads is in the baseline and never counts
+STDLIB_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from kappa_forge.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def run_probe(script, argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == 0
-    return set(result["loaded"]) - {"cli"}
+    return set(result["loaded"])
+
+
+def probe(argv):
+    return run_probe(PROBE, argv) - {"cli"}
 
 
 @pytest.mark.parametrize(
@@ -101,6 +117,22 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, expected):
     data = tmp_path / "data.json"
     data.write_text(json.dumps(DATA))
     assert probe([a.replace("{data}", str(data)) for a in argv]) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem-a", "--b", "9,18", FLAGS],
+        ["adams", "--k", "3", "--b", "1,2", "--certify", FLAGS],
+        ["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"],
+        ["su2-restrict", "--rep", "V3+V1"],
+        ["su2-realize", "--weights", "2,0"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_verdict_and_su2_calls_load_no_dataclasses(argv):
+    # dataclasses pulls in inspect, ast, dis and tokenize: most of a short call's start-up
+    assert run_probe(STDLIB_PROBE, argv) & {"dataclasses", "inspect", "typing"} == set()
 
 
 def test_importing_the_package_loads_no_module():

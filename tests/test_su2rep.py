@@ -19,6 +19,7 @@ from kappa_forge.su2rep import (
 )
 from oracles import (
     ComplexIrrep,
+    check_frozen_record,
     check_weight_constraints,
     complex_irrep_weights,
     real_irrep_complexification,
@@ -354,3 +355,17 @@ def test_parse_weight_multiset_folds_signs():
         parse_weight_multiset("1,x")
     with pytest.raises(ParseError):
         parse_weight_multiset("")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (RealRep(((3, 1), (4, 2))), "RealRep(terms=((4, 2), (3, 1)))"),
+        (WeightMultiset((2, -1, 0)), "WeightMultiset(entries=(2, 1, 0))"),
+        (restrict_to_torus(parse_real_rep("V3+V4+V1")), "WeightMultiset(entries=(2, 1, 1, 0))"),
+        (realize_weights(WeightMultiset((2, 0))), "RealRep(terms=((3, 1), (1, 1)))"),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else "",
+)
+def test_result_types_keep_the_frozen_dataclass_behaviour(value, text):
+    check_frozen_record(value, text)
