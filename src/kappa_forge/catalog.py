@@ -18,11 +18,10 @@ none that could be written down honestly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import MAX_RESULT_ENTRIES, DomainError
+from .errors import MAX_RESULT_ENTRIES, DomainError, Record
 from .localization import (
     C2,
     GAMMA,
@@ -47,10 +46,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A generated example: fixed-point data plus verified expected values."""
 
+    __slots__ = ("label", "data", "expected", "provenance_note")
     label: str
     data: FixedPointData
     expected: tuple[KappaValue, ...]
@@ -121,10 +120,10 @@ def connected_sum_euler(chi_x: int, g: int, dim: int) -> int:
     return g * operator.index(chi_x) - 2 * (g - 1)
 
 
-@dataclass(frozen=True)
-class RationalOddity:
+class RationalOddity(Record):
     """Result of the interior-cohomology parity check on a Betti table."""
 
+    __slots__ = ("rationally_odd", "b_even", "b_odd", "euler_char", "notes")
     rationally_odd: bool
     b_even: int
     b_odd: int
@@ -163,10 +162,13 @@ def rationally_odd_check(betti: Iterable[int]) -> RationalOddity:
     return RationalOddity(odd_ok, b_even, b_odd, b_even - b_odd, tuple(notes))
 
 
-@dataclass(frozen=True)
-class WgHypothesisReport:
+class WgHypothesisReport(Record):
     """Hypothesis bookkeeping for the g-fold connected sum of S^n x S^n."""
 
+    __slots__ = (
+        "n", "g", "manifold", "euler_char", "betti", "rationally_odd", "fixed_set",
+        "fixed_set_nonempty", "hypotheses", "theorems_apply",
+    )
     n: int
     g: int
     manifold: str

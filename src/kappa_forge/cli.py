@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -77,6 +76,8 @@ def _resolve_format(args) -> str:
 
 def _emit(args, payload, lines) -> None:
     if _resolve_format(args) == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -360,6 +361,8 @@ def cmd_betti(args) -> int:
 
 
 def cmd_catalog_s2xs2(args) -> int:
+    import json
+
     from .catalog import s2xs2_family
     from .localization import kappa_class_label
 
@@ -386,13 +389,10 @@ def cmd_catalog_s2xs2(args) -> int:
 
 
 def cmd_catalog_wg(args) -> int:
-    import dataclasses
-
     from .catalog import wg_hypothesis_report
 
     report = wg_hypothesis_report(args.n, args.g)
-    # asdict would keep the HypothesisFlags record, which json cannot encode
-    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    payload = {name: getattr(report, name) for name in report._fields}
     payload["hypotheses"] = report.hypotheses.to_json_dict()
     # 2g and 2 - 2g have one digit more than g
     with _unlimited_int_digits():

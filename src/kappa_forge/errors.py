@@ -15,55 +15,73 @@ MAX_RESULT_ENTRIES = 2**20
 class Record:
     """A slotted, frozen value: what ``@dataclass(frozen=True)`` gave, without its import.
 
-    ``dataclasses`` loads ``inspect`` and ``ast``, which cost a short CLI call
-    more than its arithmetic.  A subclass lists its fields in ``__slots__`` and
-    the defaults of its trailing fields in ``_defaults``; ``__post_init__``
-    runs after the fields are set and may normalize them with
-    ``object.__setattr__``.  Instances compare equal only to the same class
-    with equal fields, hash and print like the dataclass did, refuse
-    assignment and deletion, and copy and pickle through the constructor.
+    ``dataclasses`` loads ``inspect`` and ``ast``, which cost a CLI call more
+    than its arithmetic.  A subclass lists its fields in ``__slots__`` and the
+    defaults of its trailing fields in ``_defaults``; ``__post_init__`` runs
+    after the fields are set and may normalize them with
+    ``object.__setattr__``.  A slot whose name starts with ``_`` is private
+    state, not a field: it takes no constructor argument and is never
+    compared, hashed, printed, copied or pickled.  ``_fields`` names the
+    fields in order.  Instances compare equal only to the same class with
+    equal fields, hash and print like the dataclass did, refuse assignment and
+    deletion, and copy and pickle through the constructor.
     """
 
     __slots__ = ()
     _defaults: tuple = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # the slots' member descriptors store a value with no __setattr__ lookup
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance of values that are already normalized, without ``__post_init__``.
+
+        For a caller that has just checked every value the way the
+        constructor would; anything else goes through the constructor.
+        """
+        obj = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):
+            set_field(obj, value)
+        return obj
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
-        names = cls.__slots__
+        names = cls._fields
         if len(args) > len(names):
             raise TypeError(
                 f"{cls.__qualname__}() takes {len(names)} arguments "
                 f"but {len(args)} were given"
             )
+        values = list(args)
         first_default = len(names) - len(cls._defaults)
-        for i, name in enumerate(names):
-            if i < len(args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"{cls.__qualname__}() got multiple values for argument '{name}'"
-                    )
-                value = args[i]
-            elif name in kwargs:
-                value = kwargs.pop(name)
+        for i in range(len(args), len(names)):
+            if names[i] in kwargs:
+                values.append(kwargs.pop(names[i]))
             elif i >= first_default:
-                value = cls._defaults[i - first_default]
+                values.append(cls._defaults[i - first_default])
             else:
                 raise TypeError(
-                    f"{cls.__qualname__}() missing required argument: '{name}'"
+                    f"{cls.__qualname__}() missing required argument: '{names[i]}'"
                 )
-            object.__setattr__(self, name, value)
         if kwargs:
-            raise TypeError(
-                f"{cls.__qualname__}() got an unexpected keyword argument "
-                f"'{next(iter(kwargs))}'"
-            )
+            name = next(iter(kwargs))
+            if name in names:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument '{name}'")
+            raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument '{name}'")
+        for set_field, value in zip(cls._setters, values):
+            set_field(self, value)
         self.__post_init__()
 
     def __post_init__(self):
         pass
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -74,7 +92,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -84,7 +102,8 @@ class Record:
         raise AttributeError(f"cannot delete field '{name}' of a frozen record")
 
     def __reduce__(self):
-        # the default slot-state restore goes through the refused __setattr__
+        # the default slot-state restore goes through the refused __setattr__,
+        # and the constructor leaves private state behind
         return type(self), self._values()
 
 
@@ -116,7 +135,7 @@ def bounded_fraction(text: str):
     from fractions import Fraction
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    m = re.match(_EXPONENT, text)
+    m = re.match(_EXPONENT, text.strip())  # Fraction ignores surrounding whitespace
     if m and abs(int(m.group(2))) > limit + len(m.group(1)):
         value = Fraction(m.group(1))
         over = value != 0

@@ -24,15 +24,13 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, bounded_fraction
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, bounded_fraction
 from .symalg import (
     CharClassMonomial,
     WeightVector,
-    _trusted_weights,
     parse_class_monomial,
     reduce_monomial,
     sigma_eval,
@@ -64,10 +62,10 @@ GAMMA = "gamma"
 C2 = "c2"
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(Record):
     """One connected component of the fixed set: name, chi, signed weights."""
 
+    __slots__ = ("name", "euler_char", "weights")
     name: str
     euler_char: int
     weights: WeightVector
@@ -77,32 +75,21 @@ class FixedComponent:
         object.__setattr__(self, "weights", WeightVector.of(self.weights))
 
 
-_new, _set = object.__new__, object.__setattr__
-
-
-def _trusted_component(name: str, euler_char: int, weights: tuple[int, ...]) -> FixedComponent:
-    """The component of values the parser has just checked, without converting them again."""
-    comp = _new(FixedComponent)
-    _set(comp, "name", name)
-    _set(comp, "euler_char", euler_char)
-    _set(comp, "weights", _trusted_weights(weights))
-    return comp
-
-
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(Record):
     """Fixed-point data of a circle action on a 2n-dimensional fiber.
 
     Construction is deliberately lenient about cross-field consistency;
     :func:`validate_fixed_data` reports problems instead of repairing them.
-    Its diagnostics are computed once per object and kept in a private
-    attribute that is no field: equality, hashing, ``repr`` and
-    ``dataclasses.asdict`` never see it.
+    Its diagnostics are computed once per object and kept in the private
+    slot ``_diagnostics``, which is no field: equality, hashing, ``repr``,
+    copies and pickles never see it.
     """
 
+    __slots__ = ("fiber_half_dim", "components", "fiber_euler_char", "_diagnostics")
+    _defaults = (None,)
     fiber_half_dim: int
     components: tuple[FixedComponent, ...]
-    fiber_euler_char: Optional[int] = None
+    fiber_euler_char: Optional[int]
 
     def __post_init__(self):
         n = operator.index(self.fiber_half_dim)
@@ -114,8 +101,8 @@ class FixedPointData:
             object.__setattr__(self, "fiber_euler_char", operator.index(self.fiber_euler_char))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
+    __slots__ = ("severity", "message")
     severity: str  # "error" or "info"
     message: str
 
@@ -123,8 +110,7 @@ class Diagnostic:
         return f"{self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class KappaValue:
+class KappaValue(Record):
     """Exact coefficient of a kappa-class pullback on a generator power.
 
     ``class_monomial`` is the c in kappa_{e*c}.  Over the circle the
@@ -132,6 +118,7 @@ class KappaValue:
     power degree(c)/4.  A file's ``expected`` annotations are KappaValues too.
     """
 
+    __slots__ = ("class_monomial", "coefficient", "generator", "generator_power")
     class_monomial: CharClassMonomial
     coefficient: Fraction
     generator: str
@@ -166,19 +153,16 @@ class KappaValue:
         }
 
 
-_DIAGNOSTICS = "_diagnostics"  # where a FixedPointData keeps its validation result
-
-
 def validate_fixed_data(d: FixedPointData) -> list[Diagnostic]:
     """Structural checks; errors make the data unusable, infos are advisory.
 
     The checks run once per object: later calls, and the localization
     functions, reuse the diagnostics kept on ``d``.
     """
-    stored = getattr(d, _DIAGNOSTICS, None)
+    stored = getattr(d, "_diagnostics", None)
     if stored is None:
         stored = tuple(_diagnose(d))
-        object.__setattr__(d, _DIAGNOSTICS, stored)
+        object.__setattr__(d, "_diagnostics", stored)
     return list(stored)
 
 
@@ -217,7 +201,7 @@ def _diagnose(d: FixedPointData) -> list[Diagnostic]:
 
 
 def _require_usable(d: FixedPointData) -> None:
-    diagnostics = getattr(d, _DIAGNOSTICS, None)
+    diagnostics = getattr(d, "_diagnostics", None)
     if diagnostics is None:
         diagnostics = validate_fixed_data(d)
     errors = [diag for diag in diagnostics if diag.severity == "error"]
@@ -261,6 +245,7 @@ def gamma_to_c2(kv: KappaValue) -> KappaValue:
 def pullback_su2(d: FixedPointData, i: int) -> tuple[KappaValue, Fraction]:
     """Kappa_{e*p_i} on c2^i together with b_i = coefficient / chi(W)."""
     n = d.fiber_half_dim
+    i = operator.index(i)
     if not 1 <= i <= n:
         raise DomainError(f"index {i} outside 1..{n}")
     if d.fiber_euler_char is None:
@@ -277,8 +262,8 @@ def pullback_su2(d: FixedPointData, i: int) -> tuple[KappaValue, Fraction]:
 # JSON interchange format
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpectedComparison:
+class ExpectedComparison(Record):
+    __slots__ = ("expected", "computed")
     expected: KappaValue
     computed: KappaValue
 
@@ -287,13 +272,14 @@ class ExpectedComparison:
         return self.computed == self.expected
 
 
-@dataclass(frozen=True)
-class FixedPointFile:
+class FixedPointFile(Record):
     """Parsed contents of a fixed-point data file, annotations included."""
 
+    __slots__ = ("data", "expected", "provenance")
+    _defaults = (None, None)
     data: FixedPointData
-    expected: Optional[tuple[KappaValue, ...]] = None
-    provenance: Optional[str] = None
+    expected: Optional[tuple[KappaValue, ...]]
+    provenance: Optional[str]
 
 
 def compare_expected(
@@ -399,7 +385,8 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
                 and raw_weights
                 and _exact_ints(raw_weights)
             ):
-                components.append(_trusted_component(name, euler_char, tuple(raw_weights)))
+                weights = WeightVector._trusted(tuple(raw_weights))
+                components.append(FixedComponent._trusted(name, euler_char, weights))
                 continue
         components.append(_parse_component(idx, raw))
     data = FixedPointData(n, tuple(components), chi)

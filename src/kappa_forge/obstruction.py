@@ -25,12 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .errors import MAX_VALUE_BITS, DomainError, Record
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
+    from fractions import Fraction
     from typing import Iterable, Optional, Union
 
     from .symalg import WeightsLike
@@ -63,6 +63,9 @@ class BVector(Record):
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # imported here: fractions loads decimal, which betti never needs
+        from fractions import Fraction
+
         entries = tuple(Fraction(x) for x in self.entries)
         if not entries:
             raise DomainError("b-vector must have at least one entry")
@@ -421,7 +424,7 @@ def weights_to_b(w: WeightsLike) -> BVector:
     w = WeightVector.of(w)
     n = len(w)
     p = [CharClassMonomial.pontryagin(i, n) for i in range(1, n + 1)]
-    return BVector(tuple(Fraction(v) for v in sigma_eval_many(p, w)))
+    return BVector(tuple(sigma_eval_many(p, w)))
 
 
 def adams_transform(k: int, b: BVector) -> BVector:

@@ -147,9 +147,7 @@ def restrict_to_torus(rep: RealRep) -> WeightMultiset:
     half.sort(reverse=True)
     del half[len(half) - half.count(0) // 2 :]
     # already folded and sorted: skip the constructor's second pass over it
-    w = object.__new__(WeightMultiset)
-    object.__setattr__(w, "entries", tuple(half))
-    return w
+    return WeightMultiset._trusted(tuple(half))
 
 
 def realize_weights(w: WeightMultiset) -> Optional[RealRep]:

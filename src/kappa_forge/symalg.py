@@ -23,11 +23,10 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .errors import MAX_VALUE_BITS, DomainError, ParseError
+from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record
 
 __all__ = [
     "CharClassMonomial",
@@ -41,10 +40,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """The n integer rotation weights of a real 2n-dimensional circle representation."""
 
+    __slots__ = ("weights",)
     weights: tuple[int, ...]
 
     def __post_init__(self):
@@ -69,22 +68,8 @@ class WeightVector:
 
 WeightsLike = Union[WeightVector, Sequence[int]]
 
-_new, _set = object.__new__, object.__setattr__
 
-
-def _trusted_weights(weights: tuple[int, ...]) -> WeightVector:
-    """The vector of a non-empty tuple of exact ints, without checking them again.
-
-    For a parser that has just checked every entry; anything else goes
-    through the constructor.
-    """
-    w = _new(WeightVector)
-    _set(w, "weights", weights)
-    return w
-
-
-@dataclass(frozen=True)
-class CharClassMonomial:
+class CharClassMonomial(Record):
     """A monomial p_1^{k_1} * ... * p_n^{k_n} * e^{m} for fiber dimension 2n.
 
     ``p_exponents[i-1]`` is the exponent of p_i.  Canonical form keeps the
@@ -92,9 +77,11 @@ class CharClassMonomial:
     Instances are immutable and compare structurally.
     """
 
+    __slots__ = ("fiber_half_dim", "p_exponents", "e_exponent")
+    _defaults = (0,)
     fiber_half_dim: int
     p_exponents: tuple[int, ...]
-    e_exponent: int = 0
+    e_exponent: int
 
     def __post_init__(self):
         n = operator.index(self.fiber_half_dim)
@@ -118,6 +105,7 @@ class CharClassMonomial:
 
     @classmethod
     def pontryagin(cls, i: int, n: int) -> "CharClassMonomial":
+        i = operator.index(i)
         if not 1 <= i <= n:
             raise DomainError(f"p{i} does not exist for fiber half-dimension {n}")
         return cls(n, tuple(1 if j == i else 0 for j in range(1, n + 1)), 0)

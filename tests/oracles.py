@@ -42,7 +42,7 @@ def check_frozen_record(value: Record, text: str) -> None:
     TypeError, assignment and deletion an AttributeError.
     """
     cls = type(value)
-    names = cls.__slots__
+    names = cls._fields
     values = tuple(getattr(value, name) for name in names)
     assert repr(value) == text
     for same in (cls(*values), cls(**dict(zip(names, values)))):

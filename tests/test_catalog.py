@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from kappa_forge.catalog import (
+    CatalogEntry,
     connected_sum_euler,
     rationally_odd_check,
     s2xs2_family,
@@ -10,11 +12,17 @@ from kappa_forge.catalog import (
 )
 from kappa_forge.errors import DomainError
 from kappa_forge.localization import (
+    GAMMA,
+    FixedComponent,
+    FixedPointData,
+    KappaValue,
     compare_expected,
     parse_fixed_point_payload,
     pullback_su2,
     read_fixed_point_file,
 )
+from kappa_forge.symalg import CharClassMonomial, WeightVector
+from oracles import check_frozen_record
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +200,45 @@ def test_wg_rejects_bad_n_and_g():
         wg_hypothesis_report(1, 2)
     with pytest.raises(DomainError):
         wg_hypothesis_report(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# value types: frozen records with the dataclass behaviour
+# ---------------------------------------------------------------------------
+
+def catalog_entry():
+    data = FixedPointData(2, (FixedComponent("x0", 1, WeightVector((2, -1))),), 4)
+    value = KappaValue(CharClassMonomial(2, (1, 0)), Fraction(5, 2), GAMMA, 2)
+    return CatalogEntry("x", data, (value,), "note")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (
+            catalog_entry(),
+            "CatalogEntry(label='x', data=FixedPointData(fiber_half_dim=2, "
+            "components=(FixedComponent(name='x0', euler_char=1, "
+            "weights=WeightVector(weights=(2, -1))),), fiber_euler_char=4), "
+            "expected=(KappaValue(class_monomial=CharClassMonomial(fiber_half_dim=2, "
+            "p_exponents=(1, 0), e_exponent=0), coefficient=Fraction(5, 2), "
+            "generator='gamma', generator_power=2),), provenance_note='note')",
+        ),
+        (
+            rationally_odd_check([2, 0, 0, 0, 1]),
+            "RationalOddity(rationally_odd=True, b_even=3, b_odd=0, euler_char=3, "
+            "notes=('b_0 = 2, expected 1 for a connected manifold',))",
+        ),
+        (
+            wg_hypothesis_report(3, 2),
+            "WgHypothesisReport(n=3, g=2, manifold='connected sum of 2 copies of S^3 x S^3', "
+            "euler_char=-2, betti=(1, 0, 0, 4, 0, 0, 1), rationally_odd=True, "
+            "fixed_set='S^0 x S^3', fixed_set_nonempty=True, "
+            "hypotheses=HypothesisFlags(rationally_odd=True, negative_euler_char=True, "
+            "nontrivial_action_assumed=True), theorems_apply=True)",
+        ),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else "",
+)
+def test_value_types_keep_the_frozen_dataclass_behaviour(value, text):
+    check_frozen_record(value, text)

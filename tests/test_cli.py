@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from math import comb, prod
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from kappa_forge.cli import main
+from kappa_forge.errors import ParseError, bounded_fraction
 
 
 def run(capsys, argv):
@@ -665,6 +667,30 @@ def test_file_coefficient_with_a_huge_exponent_is_parse_error(tmp_path):
         2, "", f"error: '{path}': expected[0]: rational '1e1000000000...' has a numerator "
         "or denominator over the 4300-digit limit\n"
     )
+
+
+@pytest.mark.parametrize("padded", [" 1e3000000", "1e3000000 ", "\t1e3000000\n"], ids=repr)
+def test_padded_exponent_is_refused_at_once(tmp_path, padded):
+    # Fraction skips the padding, so the exponent guard must too
+    message = (
+        f"rational '{padded[:20]}...' has a numerator or denominator over the 4300-digit limit"
+    )
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        bounded_fraction(padded)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == message
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({
+        "fiber_half_dim": 1,
+        "components": [],
+        "expected": [{"class": "p1", "coefficient": padded, "generator": "gamma", "power": 2}],
+    }))
+    start = time.perf_counter()
+    result = run_limited(["localize", "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    assert result == (2, "", f"error: '{path}': expected[0]: {message}\n")
+    assert elapsed < 1.0
 
 
 def test_bad_exponent_stays_a_bad_rational(capsys):

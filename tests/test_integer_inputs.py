@@ -14,7 +14,13 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
-from kappa_forge.localization import GAMMA, FixedComponent, FixedPointData, KappaValue
+from kappa_forge.localization import (
+    GAMMA,
+    FixedComponent,
+    FixedPointData,
+    KappaValue,
+    pullback_su2,
+)
 from kappa_forge.obstruction import (
     HypothesisFlags,
     adams_transform,
@@ -25,17 +31,22 @@ from kappa_forge.su2rep import RealRep, WeightMultiset
 from kappa_forge.symalg import CharClassMonomial, WeightVector, elementary_symmetric
 
 P1 = CharClassMonomial(2, (1, 0))
+S2XS2 = s2xs2_family(2).data
 
 NOT_INTEGERS = {
     "WeightVector": lambda: WeightVector((1.7, 2.2)),
     "CharClassMonomial-n": lambda: CharClassMonomial(Fraction(2), (1, 0)),
     "CharClassMonomial-p": lambda: CharClassMonomial(2, (1.5, 0)),
     "CharClassMonomial-e": lambda: CharClassMonomial(1, (1,), 1.5),
+    "pontryagin-fraction": lambda: CharClassMonomial.pontryagin(1.5, 2),
+    "pontryagin-float": lambda: CharClassMonomial.pontryagin(1.0, 2),
     "elementary_symmetric": lambda: elementary_symmetric(1, [1.5, 2]),
     "FixedComponent": lambda: FixedComponent("m", -2.9, WeightVector((1, 2))),
     "FixedPointData-n": lambda: FixedPointData(2.5, ()),
     "FixedPointData-chi": lambda: FixedPointData(2, (), 4.5),
     "KappaValue": lambda: KappaValue(P1, 1, GAMMA, 2.0),
+    "pullback_su2-fraction": lambda: pullback_su2(S2XS2, 1.5),
+    "pullback_su2-float": lambda: pullback_su2(S2XS2, 1.0),
     "RealRep": lambda: RealRep((("3", 1),)),
     "WeightMultiset": lambda: WeightMultiset((1.5, 0)),
     "adams_transform": lambda: adams_transform(3.9, [1, 2]),

@@ -1,7 +1,7 @@
 """The lean fixed-point parser against its reference, and validation once per object."""
 
 import copy
-import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -277,11 +277,16 @@ def test_stored_diagnostics_stay_out_of_sight():
     assert hash(checked) == hash(fresh)
     assert repr(checked) == repr(fresh)
     assert "diagnos" not in repr(checked)
-    assert dataclasses.asdict(checked) == dataclasses.asdict(fresh)
-    assert [f.name for f in dataclasses.fields(checked)] == [
-        "fiber_half_dim", "components", "fiber_euler_char",
-    ]
+    assert checked._values() == fresh._values()
+    assert FixedPointData._fields == ("fiber_half_dim", "components", "fiber_euler_char")
     assert fixed_point_payload(checked) == fixed_point_payload(fresh)
-    # a changed copy is a new object and is checked afresh
-    changed = dataclasses.replace(checked, fiber_euler_char=3)
+    assert checked._diagnostics == ()
+    # copies and pickles go through the constructor and leave the diagnostics behind
+    for restored in (
+        copy.copy(checked), copy.deepcopy(checked), pickle.loads(pickle.dumps(checked))
+    ):
+        assert restored == checked
+        assert getattr(restored, "_diagnostics", None) is None
+    # an instance rebuilt with a changed field is a new object and is checked afresh
+    changed = FixedPointData(checked.fiber_half_dim, checked.components, fiber_euler_char=3)
     assert [diag.severity for diag in validate_fixed_data(changed)] == ["error"]

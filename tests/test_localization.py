@@ -9,8 +9,11 @@ from kappa_forge.errors import DomainError, ParseError
 from kappa_forge.localization import (
     C2,
     GAMMA,
+    Diagnostic,
+    ExpectedComparison,
     FixedComponent,
     FixedPointData,
+    FixedPointFile,
     KappaValue,
     compare_expected,
     fixed_point_payload,
@@ -24,6 +27,7 @@ from kappa_forge.localization import (
     write_fixed_point_file,
 )
 from kappa_forge.symalg import CharClassMonomial, WeightVector, sigma_eval
+from oracles import check_frozen_record
 
 
 def four_point_data(k, chi=4):
@@ -383,3 +387,73 @@ def test_value_limit_is_the_same_error_on_every_path():
             call()
         messages.append(str(exc.value))
     assert messages == ["the value of p1^3000000 would exceed the limit of 1048576 bits"] * 3
+
+
+# ---------------------------------------------------------------------------
+# value types: frozen records with the dataclass behaviour
+# ---------------------------------------------------------------------------
+
+P1_TEXT = "CharClassMonomial(fiber_half_dim=2, p_exponents=(1, 0), e_exponent=0)"
+COMPONENT_TEXT = "FixedComponent(name='x0', euler_char=1, weights=WeightVector(weights=(2, -1)))"
+DATA_TEXT = (
+    f"FixedPointData(fiber_half_dim=2, components=({COMPONENT_TEXT},), fiber_euler_char=4)"
+)
+HALF_TEXT = (
+    f"KappaValue(class_monomial={P1_TEXT}, coefficient=Fraction(5, 2), generator='gamma', "
+    "generator_power=2)"
+)
+C2_TEXT = (
+    f"KappaValue(class_monomial={P1_TEXT}, coefficient=Fraction(20, 1), generator='c2', "
+    "generator_power=1)"
+)
+
+
+def record_values():
+    p1 = CharClassMonomial(2, (1, 0))
+    component = FixedComponent("x0", 1, WeightVector((2, -1)))
+    data = FixedPointData(2, (component,), 4)
+    validated = FixedPointData(2, (component,), 4)
+    validate_fixed_data(validated)  # keeps its diagnostics privately
+    half = KappaValue(p1, Fraction(5, 2), GAMMA, 2)
+    c2 = KappaValue(p1, 20, C2, 1)
+    # the lean parse path builds its component and weights without their constructors
+    parsed = parse_fixed_point_payload(
+        {"fiber_half_dim": 1, "components": [{"name": "a", "euler_char": 2, "weights": [3]}]}
+    )
+    parsed_component = "FixedComponent(name='a', euler_char=2, weights=WeightVector(weights=(3,)))"
+    return [
+        (component, COMPONENT_TEXT),
+        (parsed.data.components[0], parsed_component),
+        (data, DATA_TEXT),
+        (validated, DATA_TEXT),
+        (
+            FixedPointData(1, ()),
+            "FixedPointData(fiber_half_dim=1, components=(), fiber_euler_char=None)",
+        ),
+        (Diagnostic("info", "zero weight"), "Diagnostic(severity='info', message='zero weight')"),
+        (half, HALF_TEXT),
+        (c2, C2_TEXT),
+        (
+            ExpectedComparison(c2, c2),
+            f"ExpectedComparison(expected={C2_TEXT}, computed={C2_TEXT})",
+        ),
+        (
+            parsed,
+            "FixedPointFile(data=FixedPointData(fiber_half_dim=1, "
+            f"components=({parsed_component},), fiber_euler_char=None), expected=None, "
+            "provenance=None)",
+        ),
+        (
+            FixedPointFile(data, (half,), "note"),
+            f"FixedPointFile(data={DATA_TEXT}, expected=({HALF_TEXT},), provenance='note')",
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    record_values(),
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else "",
+)
+def test_value_types_keep_the_frozen_dataclass_behaviour(value, text):
+    check_frozen_record(value, text)

@@ -65,15 +65,19 @@ FILES = {"errors", "localization", "symalg"}
 CATALOG = {"catalog", "errors", "localization", "obstruction", "symalg"}
 
 
-# the same, but lists every module loaded after the interpreter's own start-up:
-# a module that a site hook preloads is in the baseline and never counts
+# the same, but lists every module loaded after the interpreter's own start-up and
+# imports json for its report only after taking that list: a module that a site
+# hook preloads is in the baseline and never counts
 STDLIB_PROBE = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
+import contextlib, io
 from kappa_forge.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
@@ -133,6 +137,30 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, expected):
 def test_verdict_and_su2_calls_load_no_dataclasses(argv):
     # dataclasses pulls in inspect, ast, dis and tokenize: most of a short call's start-up
     assert run_probe(STDLIB_PROBE, argv) & {"dataclasses", "inspect", "typing"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--class", "p1", "--weights", "1,2"],
+        ["localize", "--input", "{data}"],
+        ["pullback-su2", "--input", "{data}", "--i", "1"],
+        ["catalog", "s2xs2", "--k", "2"],
+        ["catalog", "wg", "--n", "3", "--g", "2"],
+    ],
+    ids=lambda v: " ".join(v[:2]),
+)
+def test_file_and_catalog_calls_load_no_dataclasses(tmp_path, argv):
+    # symalg and localization still import typing, which loads neither
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(DATA))
+    argv = [a.replace("{data}", str(data)) for a in argv]
+    assert run_probe(STDLIB_PROBE, argv) & {"dataclasses", "inspect"} == set()
+
+
+def test_betti_loads_no_json_and_no_fractions():
+    argv = ["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"]
+    assert run_probe(STDLIB_PROBE, argv) & {"json", "fractions", "decimal"} == set()
 
 
 def test_importing_the_package_loads_no_module():

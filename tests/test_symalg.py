@@ -15,7 +15,7 @@ from kappa_forge.symalg import (
     reduce_monomial,
     sigma_eval,
 )
-from oracles import signed_doubling_sigma
+from oracles import check_frozen_record, signed_doubling_sigma
 
 
 def esp_by_enumeration(i, values):
@@ -284,3 +284,22 @@ def test_weight_vector_coercion():
     assert WeightVector.of([1, 2]).weights == (1, 2)
     w = WeightVector((3, 4))
     assert WeightVector.of(w) is w
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (WeightVector((2, -1)), "WeightVector(weights=(2, -1))"),
+        (
+            CharClassMonomial(2, (1, 0)),
+            "CharClassMonomial(fiber_half_dim=2, p_exponents=(1, 0), e_exponent=0)",
+        ),
+        (
+            CharClassMonomial(2, (0, 1), 1),
+            "CharClassMonomial(fiber_half_dim=2, p_exponents=(0, 1), e_exponent=1)",
+        ),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else "",
+)
+def test_value_types_keep_the_frozen_dataclass_behaviour(value, text):
+    check_frozen_record(value, text)
