@@ -17,11 +17,10 @@ none that could be written down honestly.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, Record
+from .errors import MAX_RESULT_ENTRIES, DomainError, Record, strict_index
 from .localization import (
     C2,
     GAMMA,
@@ -69,7 +68,7 @@ def s2xs2_family(k: int) -> CatalogEntry:
     per point; chi(W) = 4.  Expected values: kappa_{e*p_1} equals
     4(k^2+1) gamma^2 over the circle and 4(k^2+1) c2 over SU(2).
     """
-    k = operator.index(k)
+    k = strict_index(k)
     if k < 0 or k % 2:
         raise DomainError(
             f"k must be even and >= 0, got {k}: the doubled disk bundle is "
@@ -113,11 +112,11 @@ def connected_sum_euler(chi_x: int, g: int, dim: int) -> int:
     Each gluing removes two disks, so the count is g*chi_x - 2(g - 1);
     valid only in even dimensions, where the sphere has chi = 2.
     """
-    if operator.index(dim) <= 0 or dim % 2:
+    if strict_index(dim) <= 0 or dim % 2:
         raise DomainError(f"dimension must be a positive even integer, got {dim}")
-    if operator.index(g) < 1:
+    if strict_index(g) < 1:
         raise DomainError(f"number of summands must be >= 1, got {g}")
-    return g * operator.index(chi_x) - 2 * (g - 1)
+    return g * strict_index(chi_x) - 2 * (g - 1)
 
 
 class RationalOddity(Record):
@@ -141,7 +140,7 @@ def rationally_odd_check(betti: Iterable[int]) -> RationalOddity:
     manifold; b_0 or b_2n different from 1 is noted but does not decide
     the verdict.
     """
-    table = list(map(operator.index, betti))
+    table = list(map(strict_index, betti))
     if len(table) < 3 or len(table) % 2 == 0:
         raise DomainError(
             f"Betti table must cover degrees 0..2n for some n >= 1, got "
@@ -189,8 +188,8 @@ def wg_hypothesis_report(n: int, g: int) -> WgHypothesisReport:
     applies exactly when g > 1 pushes chi below zero.  No weight data is
     produced; the glued action does not come with coordinates.
     """
-    n = operator.index(n)
-    g = operator.index(g)
+    n = strict_index(n)
+    g = strict_index(g)
     if n < 3 or n % 2 == 0:
         raise DomainError(
             f"n must be odd and >= 3, got {n}: for even n the middle "

@@ -1,5 +1,6 @@
-"""Exception types, size limits and the frozen record type shared across the package."""
+"""Exception types, size limits, integer arguments and the frozen record type of the package."""
 
+import operator
 import sys
 
 # Decimal printing is quadratic in the bit length: 1.8 s at 2**20 bits on CPython
@@ -105,6 +106,13 @@ class Record:
         # the default slot-state restore goes through the refused __setattr__,
         # and the constructor leaves private state behind
         return type(self), self._values()
+
+
+def strict_index(value) -> int:
+    """``operator.index(value)``, refusing ``bool``: True and False are no integer arguments."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 class KappaForgeError(ValueError):

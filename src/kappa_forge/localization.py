@@ -22,12 +22,12 @@ command-line tool and the example catalog.
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import prod
+from typing import Iterator, Optional, Sequence
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, bounded_fraction
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, bounded_fraction, strict_index
 from .symalg import (
     CharClassMonomial,
     WeightVector,
@@ -71,7 +71,7 @@ class FixedComponent(Record):
     weights: WeightVector
 
     def __post_init__(self):
-        object.__setattr__(self, "euler_char", operator.index(self.euler_char))
+        object.__setattr__(self, "euler_char", strict_index(self.euler_char))
         object.__setattr__(self, "weights", WeightVector.of(self.weights))
 
 
@@ -92,13 +92,13 @@ class FixedPointData(Record):
     fiber_euler_char: Optional[int]
 
     def __post_init__(self):
-        n = operator.index(self.fiber_half_dim)
+        n = strict_index(self.fiber_half_dim)
         if n < 1:
             raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
         object.__setattr__(self, "fiber_half_dim", n)
         object.__setattr__(self, "components", tuple(self.components))
         if self.fiber_euler_char is not None:
-            object.__setattr__(self, "fiber_euler_char", operator.index(self.fiber_euler_char))
+            object.__setattr__(self, "fiber_euler_char", strict_index(self.fiber_euler_char))
 
 
 class Diagnostic(Record):
@@ -137,7 +137,7 @@ class KappaValue(Record):
             expected = deg // 4
         else:
             raise DomainError(f"unknown generator '{self.generator}'")
-        if operator.index(self.generator_power) != expected:
+        if strict_index(self.generator_power) != expected:
             raise DomainError(
                 f"generator power {self.generator_power} does not match "
                 f"degree {deg} of {self.class_monomial} on {self.generator}"
@@ -217,15 +217,41 @@ def _require_same_fiber(d: FixedPointData, c: CharClassMonomial) -> None:
         )
 
 
+def _weight_rows(d: FixedPointData, signed: bool) -> Iterator[tuple[WeightVector, int, int]]:
+    """``(row, chi_sum, signed_chi_sum)`` per distinct row of sorted absolute weights.
+
+    A p-class sees only the absolute weights, the Euler class also the sign
+    of their product: ``signed_chi_sum`` sums chi * sign(prod w), sign 0 for a
+    zero weight, and stays 0 unless ``signed``.  Rows come in order of first
+    appearance, and a row whose sums cancel still comes: its value may raise.
+    """
+    chi_sums: dict[tuple[int, ...], int] = {}
+    signed_sums: dict[tuple[int, ...], int] = {}
+    for comp in d.components:
+        w = comp.weights.weights
+        row = tuple(sorted(map(abs, w)))
+        chi = comp.euler_char
+        chi_sums[row] = chi_sums.get(row, 0) + chi
+        product = prod(w) if signed else 0
+        if product:
+            signed_sums[row] = signed_sums.get(row, 0) + (chi if product > 0 else -chi)
+    for row, chi in chi_sums.items():
+        yield WeightVector._trusted(row), chi, signed_sums.get(row, 0)
+
+
 def localize_circle(d: FixedPointData, c: CharClassMonomial) -> KappaValue:
     """Coefficient of the kappa_{e*c} pullback on gamma^(deg(c)/2).
 
-    Sum over fixed components of chi times the weight evaluation of c.
+    Sum over fixed components of chi times the weight evaluation of c, with
+    one evaluation per distinct row of absolute weights, carrying the Euler
+    sign in a signed chi sum (:func:`_weight_rows`).
     """
     _require_usable(d)
     _require_same_fiber(d, c)
+    odd = c.e_exponent % 2 == 1
     coeff = sum(
-        comp.euler_char * sigma_eval(c, comp.weights) for comp in d.components
+        sigma_eval(c, row) * (signed_chi if odd else chi)
+        for row, chi, signed_chi in _weight_rows(d, odd)
     )
     return KappaValue(c, Fraction(coeff), GAMMA, c.degree // 2)
 
@@ -245,7 +271,7 @@ def gamma_to_c2(kv: KappaValue) -> KappaValue:
 def pullback_su2(d: FixedPointData, i: int) -> tuple[KappaValue, Fraction]:
     """Kappa_{e*p_i} on c2^i together with b_i = coefficient / chi(W)."""
     n = d.fiber_half_dim
-    i = operator.index(i)
+    i = strict_index(i)
     if not 1 <= i <= n:
         raise DomainError(f"index {i} outside 1..{n}")
     if d.fiber_euler_char is None:
@@ -287,9 +313,11 @@ def compare_expected(
 ) -> list[ExpectedComparison]:
     """Localize every annotated class and pair it with its expectation.
 
-    The data is validated once, and each component's weights are evaluated
-    against all annotated classes in one :func:`sigma_eval_many` pass.
-    Values and errors are those of :func:`localize_circle` per annotation.
+    The data is validated once, and each distinct row of absolute weights
+    is evaluated against all annotated classes in one :func:`sigma_eval_many`
+    pass, weighted by its chi sum, or by its signed chi sum for a class with
+    an odd e-exponent.  Values and errors are those of
+    :func:`localize_circle` per annotation.
     """
     if not expected:  # nothing is localized, so nothing is validated
         return []
@@ -297,11 +325,11 @@ def compare_expected(
     monomials = [ev.class_monomial for ev in expected]
     for c in monomials:
         _require_same_fiber(data, c)
+    odd = [c.e_exponent % 2 for c in monomials]
     coeffs = [0] * len(monomials)
-    for comp in data.components:
-        chi = comp.euler_char
-        for j, value in enumerate(sigma_eval_many(monomials, comp.weights)):
-            coeffs[j] += chi * value
+    for row, chi, signed_chi in _weight_rows(data, any(odd)):
+        for j, value in enumerate(sigma_eval_many(monomials, row)):
+            coeffs[j] += value * (signed_chi if odd[j] else chi)
     out = []
     for ev, coeff in zip(expected, coeffs):
         c = ev.class_monomial

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
-from .errors import MAX_VALUE_BITS, DomainError, Record
+from .errors import MAX_VALUE_BITS, DomainError, Record, strict_index
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
@@ -433,7 +432,7 @@ def adams_transform(k: int, b: BVector) -> BVector:
     A result past 2**20 bits in all raises DomainError before any power is
     taken.
     """
-    k = operator.index(k)
+    k = strict_index(k)
     if k < 1 or k % 2 == 0:
         raise DomainError(
             f"k must be a positive odd integer, got {k}: self-maps of the "
@@ -510,7 +509,7 @@ def nonkinetic_certificate(
         return NotApplicable(
             "hypotheses not all asserted: missing " + ", ".join(flags.missing())
         )
-    k = operator.index(k)
+    k = strict_index(k)
     if k <= 1 or k % 2 == 0:
         raise DomainError(f"k must be an odd integer > 1, got {k}")
     base_verdict = theorem_a_check(b_base, flags)
@@ -549,7 +548,7 @@ def betti_feasible(
         ("m_even", m_even),
         ("m_odd", m_odd),
     ):
-        if operator.index(v) < 0:
+        if strict_index(v) < 0:
             raise DomainError(f"Betti sums are non-negative, got {label}={v}")
     k = w_even - m_even
     if k >= 0 and w_odd - m_odd == k:

@@ -27,12 +27,11 @@ actually matter.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 import sys
 from collections import Counter
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, strict_index
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
@@ -62,7 +61,7 @@ class RealRep(Record):
     def __post_init__(self):
         merged: dict[int, int] = {}
         for dim, mult in self.terms:
-            d, m = operator.index(dim), operator.index(mult)
+            d, m = strict_index(dim), strict_index(mult)
             if d < 1:
                 raise DomainError(f"dimension must be >= 1, got {d}")
             if d % 4 == 2:
@@ -91,7 +90,7 @@ class WeightMultiset(Record):
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        folded = tuple(sorted(map(abs, map(operator.index, self.entries)), reverse=True))
+        folded = tuple(sorted(map(abs, map(strict_index, self.entries)), reverse=True))
         object.__setattr__(self, "entries", folded)
 
     @classmethod

@@ -20,13 +20,12 @@ and sigma_i of squared weights overflows 64 bits already for modest input.
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record
+from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record, strict_index
 
 __all__ = [
     "CharClassMonomial",
@@ -47,7 +46,7 @@ class WeightVector(Record):
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        ws = tuple(map(operator.index, self.weights))
+        ws = tuple(map(strict_index, self.weights))
         if not ws:
             raise DomainError("empty weight vector: a 2n-dimensional fiber needs n >= 1")
         object.__setattr__(self, "weights", ws)
@@ -84,15 +83,15 @@ class CharClassMonomial(Record):
     e_exponent: int
 
     def __post_init__(self):
-        n = operator.index(self.fiber_half_dim)
+        n = strict_index(self.fiber_half_dim)
         if n < 1:
             raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
-        exps = tuple(map(operator.index, self.p_exponents))
+        exps = tuple(map(strict_index, self.p_exponents))
         if len(exps) != n:
             raise DomainError(
                 f"expected {n} Pontryagin exponents, got {len(exps)}"
             )
-        e_exp = operator.index(self.e_exponent)
+        e_exp = strict_index(self.e_exponent)
         if any(k < 0 for k in exps) or e_exp < 0:
             raise DomainError("class-monomial exponents must be non-negative")
         object.__setattr__(self, "fiber_half_dim", n)
@@ -105,7 +104,7 @@ class CharClassMonomial(Record):
 
     @classmethod
     def pontryagin(cls, i: int, n: int) -> "CharClassMonomial":
-        i = operator.index(i)
+        i = strict_index(i)
         if not 1 <= i <= n:
             raise DomainError(f"p{i} does not exist for fiber half-dimension {n}")
         return cls(n, tuple(1 if j == i else 0 for j in range(1, n + 1)), 0)
@@ -177,7 +176,7 @@ def elementary_symmetric(i: int, values: Iterable[int]) -> int:
     sigma_0 is 1 by the empty-product convention.  One truncated pass over
     the n values: O(n*i) big-integer multiply-adds.
     """
-    vals = list(map(operator.index, values))
+    vals = list(map(strict_index, values))
     if i < 0 or i > len(vals):
         raise DomainError(
             f"elementary symmetric index {i} outside 0..{len(vals)}"

@@ -25,13 +25,24 @@ from kappa_forge.errors import (
 from kappa_forge.localization import (
     C2,
     GAMMA,
+    ExpectedComparison,
     FixedComponent,
     FixedPointData,
     FixedPointFile,
     KappaValue,
+    _require_same_fiber,
+    _require_usable,
+    gamma_to_c2,
 )
 from kappa_forge.su2rep import RealRep, WeightMultiset
-from kappa_forge.symalg import WeightsLike, WeightVector, parse_class_monomial
+from kappa_forge.symalg import (
+    CharClassMonomial,
+    WeightsLike,
+    WeightVector,
+    parse_class_monomial,
+    sigma_eval,
+    sigma_eval_many,
+)
 
 
 def check_frozen_record(value: Record, text: str) -> None:
@@ -313,3 +324,43 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
         if not isinstance(provenance, str):
             raise ParseError("'provenance' must be a string")
     return FixedPointFile(data, expected, provenance)
+
+
+# ---------------------------------------------------------------------------
+# localization one fixed component at a time
+# ---------------------------------------------------------------------------
+# The per-component loops the package used before it grouped components by
+# their row of absolute weights; kept as the reference the grouped sums must
+# agree with, value for value and error for error.
+
+def localize_circle(d: FixedPointData, c: CharClassMonomial) -> KappaValue:
+    """Sum over fixed components of chi times the weight evaluation of c."""
+    _require_usable(d)
+    _require_same_fiber(d, c)
+    coeff = sum(
+        comp.euler_char * sigma_eval(c, comp.weights) for comp in d.components
+    )
+    return KappaValue(c, Fraction(coeff), GAMMA, c.degree // 2)
+
+
+def compare_expected(data: FixedPointData, expected) -> list:
+    """Every annotated class localized by one shared pass per component."""
+    if not expected:
+        return []
+    _require_usable(data)
+    monomials = [ev.class_monomial for ev in expected]
+    for c in monomials:
+        _require_same_fiber(data, c)
+    coeffs = [0] * len(monomials)
+    for comp in data.components:
+        chi = comp.euler_char
+        for j, value in enumerate(sigma_eval_many(monomials, comp.weights)):
+            coeffs[j] += chi * value
+    out = []
+    for ev, coeff in zip(expected, coeffs):
+        c = ev.class_monomial
+        kv = KappaValue(c, Fraction(coeff), GAMMA, c.degree // 2)
+        if ev.generator == C2:
+            kv = gamma_to_c2(kv)
+        out.append(ExpectedComparison(ev, kv))
+    return out

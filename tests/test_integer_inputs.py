@@ -1,7 +1,8 @@
 """Integer arguments are taken exactly or refused, never truncated.
 
-A float, a Fraction or a string where an integer belongs raises TypeError
-(``operator.index``); ``int()`` would silently turn 2.9 into 2.
+A float, a Fraction, a string or a bool where an integer belongs raises
+TypeError (``errors.strict_index``); ``int()`` would silently turn 2.9 into
+2, and ``operator.index`` takes True as 1.
 """
 
 from fractions import Fraction
@@ -68,3 +69,42 @@ NOT_INTEGERS = {
 def test_non_integer_argument_is_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+BOOLS = {
+    "WeightVector": lambda: WeightVector((True, 2)),
+    "CharClassMonomial-n": lambda: CharClassMonomial(True, (1,)),
+    "CharClassMonomial-p": lambda: CharClassMonomial(2, (True, 0)),
+    "CharClassMonomial-e": lambda: CharClassMonomial(1, (1,), True),
+    "pontryagin": lambda: CharClassMonomial.pontryagin(True, 2),
+    "elementary_symmetric": lambda: elementary_symmetric(1, [False, 2]),
+    "FixedComponent": lambda: FixedComponent("m", True, (1, 2)),
+    "FixedComponent-weights": lambda: FixedComponent("m", 1, (True, 2)),
+    "FixedPointData-n": lambda: FixedPointData(True, ()),
+    "FixedPointData-chi": lambda: FixedPointData(2, (), False),
+    "KappaValue": lambda: KappaValue(CharClassMonomial(1, (0,)), 1, GAMMA, False),
+    "pullback_su2": lambda: pullback_su2(S2XS2, True),
+    "RealRep": lambda: RealRep(((3, True),)),
+    "WeightMultiset": lambda: WeightMultiset((True, 0)),
+    "adams_transform": lambda: adams_transform(True, [1, 2]),
+    "nonkinetic_certificate": lambda: nonkinetic_certificate(
+        [1, 2], True, HypothesisFlags.all_true()
+    ),
+    "betti_feasible": lambda: betti_feasible(True, 0, 2, 0),
+    "s2xs2_family": lambda: s2xs2_family(False),
+    "connected_sum_euler": lambda: connected_sum_euler(2, True, 4),
+    "rationally_odd_check": lambda: rationally_odd_check([True, 0, 2, 0, 1]),
+    "wg_hypothesis_report": lambda: wg_hypothesis_report(3, True),
+}
+
+
+@pytest.mark.parametrize("call", BOOLS.values(), ids=BOOLS.keys())
+def test_bool_argument_is_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_bool_is_refused_before_the_value_is_used():
+    with pytest.raises(TypeError, match="expected an integer, got True"):
+        CharClassMonomial.pontryagin(True, 2)
+    assert CharClassMonomial.pontryagin(1, 2) == P1
