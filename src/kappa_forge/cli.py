@@ -30,7 +30,7 @@ import contextlib
 import os
 import sys
 
-from .errors import DomainError, ParseError, bounded_fraction
+from .errors import DomainError, ParseError, bounded_fraction, parse_weight_list
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
 
@@ -84,17 +84,6 @@ def _emit(args, payload, lines) -> None:
             print(line)
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            out.append(int(token))
-        except ValueError:
-            raise ParseError(f"bad {what} '{token}'") from None
-    return out
-
-
 def _parse_fraction_list(text: str) -> list:
     out = []
     for token in text.split(","):
@@ -106,6 +95,11 @@ def _parse_fraction_list(text: str) -> list:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational '{token}'") from None
     return out
+
+
+def _kappa_text(label: str, kv) -> str:
+    """``kappa[label] = coefficient * generator^power``, the text form of a KappaValue."""
+    return f"kappa[{label}] = {kv.coefficient} * {kv.generator}^{kv.generator_power}"
 
 
 def _parse_flags(text):
@@ -175,7 +169,7 @@ def _run_inputs(args, per_file) -> int:
 def cmd_sigma(args) -> int:
     from .symalg import parse_class_monomial, sigma_eval
 
-    weights = _parse_int_list(args.weights, "weight")
+    weights = parse_weight_list(args.weights)
     monomial = parse_class_monomial(args.cls, len(weights))
     value = sigma_eval(monomial, weights)
     payload = {
@@ -201,9 +195,7 @@ def cmd_localize(args) -> int:
             label = kappa_class_label(monomial)
             with _unlimited_int_digits():
                 payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
-                lines = [
-                    f"{prefix}kappa[{label}] = {kv.coefficient} * gamma^{kv.generator_power}"
-                ]
+                lines = [prefix + _kappa_text(label, kv)]
             return payload, lines, True
         if loaded.expected is None:
             raise ParseError(
@@ -218,8 +210,7 @@ def cmd_localize(args) -> int:
                 label = kappa_class_label(comp.expected.class_monomial)
                 status = "ok" if comp.matches else "MISMATCH"
                 lines.append(
-                    f"{prefix}kappa[{label}] = {comp.computed.coefficient} * "
-                    f"{comp.expected.generator}^{comp.computed.generator_power} "
+                    f"{prefix}{_kappa_text(label, comp.computed)} "
                     f"(expected {comp.expected.coefficient}: {status})"
                 )
                 results.append(
@@ -255,7 +246,7 @@ def cmd_pullback_su2(args) -> int:
                 "kappa_class": label,
             }
             lines = [
-                f"{prefix}kappa[{label}] = {kv.coefficient} * c2^{kv.generator_power}",
+                prefix + _kappa_text(label, kv),
                 f"{prefix}b_{args.i} = {b_i}",
             ]
         return payload, lines, True
@@ -375,8 +366,7 @@ def cmd_catalog_s2xs2(args) -> int:
     # every number printed below fits the limit too
     entry.write(args.out)
     expected_lines = [
-        f"expected kappa[{kappa_class_label(ev.class_monomial)}] = "
-        f"{ev.coefficient} * {ev.generator}^{ev.generator_power}"
+        "expected " + _kappa_text(kappa_class_label(ev.class_monomial), ev)
         for ev in entry.expected
     ]
     payload = {

@@ -156,3 +156,23 @@ def bounded_fraction(text: str):
             f"{limit}-digit limit"
         )
     return value
+
+
+def parse_weight_list(text: str) -> list[int]:
+    """The integers of a comma-separated weight list, as ``sigma`` and ``su2-realize`` take it."""
+    if not text.strip():
+        raise ParseError("empty weight list")
+    out = []
+    for token in text.split(","):
+        token = token.strip()
+        try:
+            out.append(int(token))
+        except ValueError:
+            digits = token[1:] if token[:1] in "+-" else token
+            if digits.isdecimal():  # int refuses decimal digits only past the digit limit
+                raise ParseError(
+                    f"bad weight '{token[:20]}...' is over the "
+                    f"{sys.get_int_max_str_digits()}-digit limit"
+                ) from None
+            raise ParseError(f"bad weight '{token}'") from None
+    return out

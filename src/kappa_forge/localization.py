@@ -358,30 +358,6 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ParseError(f"unknown key '{unknown[0]}' in {where}")
 
 
-def _exact_ints(values: list) -> bool:
-    for a in values:
-        if type(a) is not int:
-            return False
-    return True
-
-
-def _parse_component(idx: int, raw) -> FixedComponent:
-    """One entry of 'components', with every check that can name what is wrong in it."""
-    where = f"components[{idx}]"
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where} must be an object")
-    _reject_unknown(raw, _COMPONENT_KEYS, where)
-    name = raw.get("name")
-    if not isinstance(name, str):
-        raise ParseError(f"{where}: 'name' must be a string")
-    euler_char = _plain_int(raw.get("euler_char"), f"{where}: 'euler_char'")
-    raw_weights = raw.get("weights")
-    if not isinstance(raw_weights, list) or not raw_weights:
-        raise ParseError(f"{where}: 'weights' must be a non-empty array")
-    weights = [_plain_int(a, f"{where}: weight") for a in raw_weights]
-    return FixedComponent(name, euler_char, WeightVector(tuple(weights)))
-
-
 def parse_fixed_point_payload(obj) -> FixedPointFile:
     """Validate a decoded JSON object against the fixed-point file schema."""
     if not isinstance(obj, dict):
@@ -402,21 +378,26 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
         raise ParseError("'components' must be an array")
     components = []
     for idx, raw in enumerate(raw_components):
-        # lean path: a well-formed entry of exact JSON types is taken as it is;
-        # anything else, bool and int subclasses included, goes through _parse_component
-        if type(raw) is dict and raw.keys() <= _COMPONENT_KEYS:
-            name, euler_char, raw_weights = raw.get("name"), raw.get("euler_char"), raw.get("weights")
-            if (
-                type(name) is str
-                and type(euler_char) is int
-                and type(raw_weights) is list
-                and raw_weights
-                and _exact_ints(raw_weights)
-            ):
-                weights = WeightVector._trusted(tuple(raw_weights))
-                components.append(FixedComponent._trusted(name, euler_char, weights))
-                continue
-        components.append(_parse_component(idx, raw))
+        # the first check to fail names the problem; exact JSON types pass
+        # each with one test, and an int subclass is stored as a plain int
+        if not isinstance(raw, dict):
+            raise ParseError(f"components[{idx}] must be an object")
+        if not raw.keys() <= _COMPONENT_KEYS:
+            _reject_unknown(raw, _COMPONENT_KEYS, f"components[{idx}]")
+        name, euler_char, weights = raw.get("name"), raw.get("euler_char"), raw.get("weights")
+        if not isinstance(name, str):
+            raise ParseError(f"components[{idx}]: 'name' must be a string")
+        if type(euler_char) is not int:
+            euler_char = strict_index(_plain_int(euler_char, f"components[{idx}]: 'euler_char'"))
+        if not isinstance(weights, list) or not weights:
+            raise ParseError(f"components[{idx}]: 'weights' must be a non-empty array")
+        for a in weights:
+            if type(a) is not int:
+                weights = [strict_index(_plain_int(a, f"components[{idx}]: weight")) for a in weights]
+                break
+        components.append(
+            FixedComponent._trusted(name, euler_char, WeightVector._trusted(tuple(weights)))
+        )
     data = FixedPointData(n, tuple(components), chi)
 
     expected = None

@@ -85,40 +85,25 @@ class BVector(Record):
 
 
 class HypothesisFlags(Record):
-    """Caller-asserted topological hypotheses under which the test obstructs."""
+    """Caller-asserted topological hypotheses under which the test obstructs.
+
+    Each field is a bool; the methods read them in slot order.
+    """
 
     __slots__ = ("rationally_odd", "negative_euler_char", "nontrivial_action_assumed")
-    rationally_odd: bool
-    negative_euler_char: bool
-    nontrivial_action_assumed: bool
 
     def all_set(self) -> bool:
-        return (
-            self.rationally_odd
-            and self.negative_euler_char
-            and self.nontrivial_action_assumed
-        )
+        return all(self._values())
 
     def missing(self) -> tuple[str, ...]:
-        out = []
-        if not self.rationally_odd:
-            out.append("rationally_odd")
-        if not self.negative_euler_char:
-            out.append("negative_euler_char")
-        if not self.nontrivial_action_assumed:
-            out.append("nontrivial_action_assumed")
-        return tuple(out)
+        return tuple(name for name, value in zip(self._fields, self._values()) if not value)
 
     @classmethod
     def all_true(cls) -> "HypothesisFlags":
         return cls(True, True, True)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rationally_odd": self.rationally_odd,
-            "negative_euler_char": self.negative_euler_char,
-            "nontrivial_action_assumed": self.nontrivial_action_assumed,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 class Reason(Record):

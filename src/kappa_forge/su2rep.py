@@ -31,7 +31,7 @@ import re
 import sys
 from collections import Counter
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, strict_index
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, parse_weight_list, strict_index
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
@@ -206,14 +206,4 @@ def parse_real_rep(text: str) -> RealRep:
 
 def parse_weight_multiset(text: str) -> WeightMultiset:
     """Parse a comma-separated weight list; signs are folded away."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty weight list")
-    entries = []
-    for token in s.split(","):
-        token = token.strip()
-        try:
-            entries.append(int(token))
-        except ValueError:
-            raise ParseError(f"bad weight '{token}'") from None
-    return WeightMultiset(tuple(entries))
+    return WeightMultiset(tuple(parse_weight_list(text)))

@@ -193,14 +193,6 @@ def _top_index(c: CharClassMonomial) -> int:
     return top
 
 
-def _check_weights(c: CharClassMonomial, w: WeightVector) -> None:
-    n = c.fiber_half_dim
-    if len(w.weights) != n:
-        raise DomainError(
-            f"weight vector has {len(w.weights)} entries, monomial expects {n}"
-        )
-
-
 def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
     # a lower bound on the bit length of total * base**k: no value within the
     # limit is refused, and bases 0 and +-1 never count against it
@@ -231,19 +223,15 @@ def sigma_eval(c: CharClassMonomial, w: WeightsLike) -> int:
     Multiplicative over factors, with sigma_{p_i} the i-th elementary
     symmetric polynomial of the squared weights and sigma_e the plain
     product of the weights.  The result depends only on the canonical
-    class of ``c``, so reduction beforehand is optional.  All factors come
-    from one truncated pass up to the highest p-index ``top`` present:
-    O(n*top) big-integer multiply-adds.  A value past 2**20 bits raises
-    DomainError before its power is taken.
+    class of ``c``, so reduction beforehand is optional.  A value past
+    2**20 bits raises DomainError before its power is taken.  The
+    one-monomial case of :func:`sigma_eval_many`.
     """
-    w = WeightVector.of(w)
-    _check_weights(c, w)
-    e = _elementary_upto(_top_index(c), [a * a for a in w.weights])
-    return _eval_from(c, e, prod(w.weights) if c.e_exponent else 1)
+    return sigma_eval_many((c,), w)[0]
 
 
 def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> list[int]:
-    """``[sigma_eval(c, w) for c in monomials]`` from one shared pass.
+    """:func:`sigma_eval` of every monomial against the same weights, from one shared pass.
 
     Every monomial's fiber dimension is checked against ``w`` first; then
     one truncated pass up to the largest p-index ``top`` among them gives
@@ -254,7 +242,9 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
     top, needs_euler = 0, False
     for c in monomials:
         if c.fiber_half_dim != n:
-            _check_weights(c, w)
+            raise DomainError(
+                f"weight vector has {n} entries, monomial expects {c.fiber_half_dim}"
+            )
         top = max(top, _top_index(c))
         needs_euler = needs_euler or c.e_exponent > 0
     e = _elementary_upto(top, [a * a for a in w.weights])

@@ -508,6 +508,7 @@ def test_over_long_weight_argument_is_parse_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad weight")
+    assert err == f"error: bad weight '{'9' * 20}...' is over the 4300-digit limit\n"
 
 
 def test_pullback_multiple_inputs_with_jobs(capsys, tmp_path):

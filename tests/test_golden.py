@@ -1,4 +1,4 @@
-"""Golden-output test: every subcommand's stdout and exit status, byte for byte.
+"""Golden-output test: every subcommand's stdout, stderr and exit status, byte for byte.
 
 ``golden_cli.json`` holds the recorded result of each call in ``CALLS``, in
 both output formats.  Paths under the temporary input directory are written
@@ -101,9 +101,6 @@ INPUTS = {
     },
 }
 RAW_INPUTS = {"not_json.json": "{\"fiber_half_dim\": 2,"}
-
-# calls whose stderr wording may change; their stdout and exit status may not
-STDERR_REWORDED = {"bad_power.json", "bad_c2_degree.json"}
 
 
 def _f(name):
@@ -246,8 +243,7 @@ def test_cli_output_matches_golden_fixture(tmp_path, monkeypatch):
         assert got["exit"] == want["exit"], call
         assert got["stdout"] == want["stdout"], call
         assert got.get("file") == want.get("file"), call
-        if not any(name in call for name in STDERR_REWORDED):
-            assert got["stderr"] == want["stderr"], call
+        assert got["stderr"] == want["stderr"], call
 
 
 if __name__ == "__main__":

@@ -31,6 +31,18 @@ class IntSub(int):
     """An int subclass that is not bool: accepted, and stored as a plain int."""
 
 
+class StrSub(str):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # differential test: lean parser against the reference copy
 # ---------------------------------------------------------------------------
@@ -143,6 +155,7 @@ def assert_same_parse(payload):
         return
     # equal values could still hide an int subclass or a list kept in place of a tuple
     for mine, theirs in zip(lean.data.components, reference.data.components):
+        assert type(mine.name) is type(theirs.name)
         assert type(mine.euler_char) is type(theirs.euler_char) is int
         assert type(mine.weights) is WeightVector
         assert type(mine.weights.weights) is tuple
@@ -171,6 +184,10 @@ def test_lean_parser_matches_reference_on_mutated_payloads(payload):
     {"name": "a", "euler_char": 1, "weights": []},
     {"name": "a", "euler_char": 1, "weights": "1,2"},
     {"name": "a", "euler_char": IntSub(1), "weights": [IntSub(1), 2]},
+    {"name": "a", "euler_char": IntSub(1), "weights": [1, 2]},
+    {"name": StrSub("a"), "euler_char": 1, "weights": [1, 2]},
+    {"name": "a", "euler_char": 1, "weights": ListSub([1, 2])},
+    DictSub(name="a", euler_char=1, weights=[1, 2]),
     [1, 2],
 ])
 def test_lean_parser_matches_reference_after_good_components(broken):

@@ -355,6 +355,8 @@ def test_parse_weight_multiset_folds_signs():
         parse_weight_multiset("1,x")
     with pytest.raises(ParseError):
         parse_weight_multiset("")
+    with pytest.raises(ParseError, match=r"^bad weight '-9{19}\.\.\.' is over the 4300-digit limit$"):
+        parse_weight_multiset("1,-" + "9" * 5000)
 
 
 @pytest.mark.parametrize(
