@@ -30,7 +30,7 @@ import contextlib
 import os
 import sys
 
-from .errors import DomainError, ParseError, bounded_fraction, parse_weight_list
+from .errors import DomainError, ParseError, bounded_fraction, clip, parse_weight_list
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
 
@@ -93,7 +93,7 @@ def _parse_fraction_list(text: str) -> list:
         except ParseError:  # over the digit limit
             raise
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational '{token}'") from None
+            raise ParseError(f"bad rational '{clip(token)}'") from None
     return out
 
 
@@ -117,7 +117,7 @@ def _parse_flags(text):
         token = token.strip()
         if token not in _FLAG_TOKENS:
             raise ParseError(
-                f"unknown hypothesis flag '{token}' (expected "
+                f"unknown hypothesis flag '{clip(token)}' (expected "
                 + ", ".join(sorted(_FLAG_TOKENS))
                 + ")"
             )

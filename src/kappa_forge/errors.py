@@ -23,9 +23,11 @@ class Record:
     ``object.__setattr__``.  A slot whose name starts with ``_`` is private
     state, not a field: it takes no constructor argument and is never
     compared, hashed, printed, copied or pickled.  ``_fields`` names the
-    fields in order.  Instances compare equal only to the same class with
-    equal fields, hash and print like the dataclass did, refuse assignment and
-    deletion, and copy and pickle through the constructor.
+    fields in order; a subclass that derives a field from private slots
+    lists its fields in ``_fields`` itself and makes that field a property
+    whose setter fills the slots.  Instances compare equal only to the same
+    class with equal fields, hash and print like the dataclass did, refuse
+    assignment and deletion, and copy and pickle through the constructor.
     """
 
     __slots__ = ()
@@ -34,7 +36,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # the slots' member descriptors store a value with no __setattr__ lookup
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
@@ -52,6 +55,15 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        for set_field, value in zip(cls._setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that is not one positional argument per field."""
         names = cls._fields
         if len(args) > len(names):
             raise TypeError(
@@ -74,9 +86,7 @@ class Record:
             if name in names:
                 raise TypeError(f"{cls.__qualname__}() got multiple values for argument '{name}'")
             raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument '{name}'")
-        for set_field, value in zip(cls._setters, values):
-            set_field(self, value)
-        self.__post_init__()
+        return values
 
     def __post_init__(self):
         pass
@@ -127,6 +137,11 @@ class ParseError(KappaForgeError):
     """Malformed textual input: class monomials, weight lists, data files."""
 
 
+def clip(token: str) -> str:
+    """``token`` as an error message quotes it: its first 20 characters, then ``...`` if cut."""
+    return token if len(token) <= 20 else f"{token[:20]}..."
+
+
 # a decimal exponent, which Fraction would raise 10 to before any size check
 _EXPONENT = r"([^/\s]*)[eE]([-+]?\d[\d_]*)\Z"
 
@@ -150,7 +165,7 @@ def bounded_fraction(text: str):
     else:
         value = Fraction(text)
         over = max(abs(value.numerator), value.denominator) >= 10**limit
-    if over:
+    if over:  # a short exponent form stands for a long number too, so '...' always follows
         raise ParseError(
             f"rational '{text[:20]}...' has a numerator or denominator over the "
             f"{limit}-digit limit"
@@ -171,8 +186,8 @@ def parse_weight_list(text: str) -> list[int]:
             digits = token[1:] if token[:1] in "+-" else token
             if digits.isdecimal():  # int refuses decimal digits only past the digit limit
                 raise ParseError(
-                    f"bad weight '{token[:20]}...' is over the "
+                    f"bad weight '{clip(token)}' is over the "
                     f"{sys.get_int_max_str_digits()}-digit limit"
                 ) from None
-            raise ParseError(f"bad weight '{token}'") from None
+            raise ParseError(f"bad weight '{clip(token)}'") from None
     return out

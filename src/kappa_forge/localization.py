@@ -25,7 +25,6 @@ import json
 import sys
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Optional, Sequence
 
 from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, bounded_fraction, strict_index
 from .symalg import (
@@ -36,6 +35,10 @@ from .symalg import (
     sigma_eval,
     sigma_eval_many,
 )
+
+TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
+if TYPE_CHECKING:
+    from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "C2",
@@ -78,6 +81,12 @@ class FixedComponent(Record):
 class FixedPointData(Record):
     """Fixed-point data of a circle action on a 2n-dimensional fiber.
 
+    The components are kept as three columns in private slots: names, Euler
+    characteristics and weight rows (tuples of plain ints).  The field
+    ``components`` is a view of them, built anew on each access: equal
+    records every time, not the same objects.  The constructor takes
+    :class:`FixedComponent` records and splits them into the columns.
+
     Construction is deliberately lenient about cross-field consistency;
     :func:`validate_fixed_data` reports problems instead of repairing them.
     Its diagnostics are computed once per object and kept in the private
@@ -85,18 +94,39 @@ class FixedPointData(Record):
     copies and pickles never see it.
     """
 
-    __slots__ = ("fiber_half_dim", "components", "fiber_euler_char", "_diagnostics")
+    __slots__ = ("fiber_half_dim", "_names", "_chis", "_rows", "fiber_euler_char", "_diagnostics")
+    _fields = ("fiber_half_dim", "components", "fiber_euler_char")
     _defaults = (None,)
     fiber_half_dim: int
-    components: tuple[FixedComponent, ...]
     fiber_euler_char: Optional[int]
+
+    @classmethod
+    def _of_columns(cls, n: int, names: tuple, chis: tuple, rows: tuple, chi) -> "FixedPointData":
+        """An instance of a checked n and chi and of columns as the constructor stores them."""
+        obj = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, (n, names, chis, rows, chi)):  # in slot order
+            object.__setattr__(obj, slot, value)
+        return obj
+
+    def _split(self, components) -> None:
+        # the setter the constructor stores the field ``components`` with
+        components = tuple(components)
+        object.__setattr__(self, "_names", tuple(comp.name for comp in components))
+        object.__setattr__(self, "_chis", tuple(comp.euler_char for comp in components))
+        object.__setattr__(self, "_rows", tuple(comp.weights.weights for comp in components))
+
+    def _view(self) -> tuple[FixedComponent, ...]:
+        return tuple(
+            map(FixedComponent._trusted, self._names, self._chis, map(WeightVector._trusted, self._rows))
+        )
+
+    components = property(_view, _split)
 
     def __post_init__(self):
         n = strict_index(self.fiber_half_dim)
         if n < 1:
             raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
         object.__setattr__(self, "fiber_half_dim", n)
-        object.__setattr__(self, "components", tuple(self.components))
         if self.fiber_euler_char is not None:
             object.__setattr__(self, "fiber_euler_char", strict_index(self.fiber_euler_char))
 
@@ -169,13 +199,12 @@ def validate_fixed_data(d: FixedPointData) -> list[Diagnostic]:
 def _diagnose(d: FixedPointData) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     n = d.fiber_half_dim
-    for comp in d.components:
-        weights = comp.weights.weights
+    for name, weights in zip(d._names, d._rows):
         if len(weights) != n:
             out.append(
                 Diagnostic(
                     "error",
-                    f"component '{comp.name}': expected {n} weights, "
+                    f"component '{name}': expected {n} weights, "
                     f"got {len(weights)}",
                 )
             )
@@ -183,12 +212,12 @@ def _diagnose(d: FixedPointData) -> list[Diagnostic]:
             out.append(
                 Diagnostic(
                     "info",
-                    f"component '{comp.name}': zero weight present, so the "
+                    f"component '{name}': zero weight present, so the "
                     "component is not isolated in that tangent plane",
                 )
             )
     if d.fiber_euler_char is not None:
-        total = sum(comp.euler_char for comp in d.components)
+        total = sum(d._chis)
         if total != d.fiber_euler_char:
             out.append(
                 Diagnostic(
@@ -227,10 +256,8 @@ def _weight_rows(d: FixedPointData, signed: bool) -> Iterator[tuple[WeightVector
     """
     chi_sums: dict[tuple[int, ...], int] = {}
     signed_sums: dict[tuple[int, ...], int] = {}
-    for comp in d.components:
-        w = comp.weights.weights
+    for w, chi in zip(d._rows, d._chis):
         row = tuple(sorted(map(abs, w)))
-        chi = comp.euler_char
         chi_sums[row] = chi_sums.get(row, 0) + chi
         product = prod(w) if signed else 0
         if product:
@@ -376,7 +403,7 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
     raw_components = obj.get("components")
     if not isinstance(raw_components, list):
         raise ParseError("'components' must be an array")
-    components = []
+    names, chis, rows = [], [], []
     for idx, raw in enumerate(raw_components):
         # the first check to fail names the problem; exact JSON types pass
         # each with one test, and an int subclass is stored as a plain int
@@ -395,10 +422,10 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
             if type(a) is not int:
                 weights = [strict_index(_plain_int(a, f"components[{idx}]: weight")) for a in weights]
                 break
-        components.append(
-            FixedComponent._trusted(name, euler_char, WeightVector._trusted(tuple(weights)))
-        )
-    data = FixedPointData(n, tuple(components), chi)
+        names.append(name)
+        chis.append(euler_char)
+        rows.append(tuple(weights))
+    data = FixedPointData._of_columns(n, tuple(names), tuple(chis), tuple(rows), chi)
 
     expected = None
     if "expected" in obj:
@@ -472,12 +499,8 @@ def fixed_point_payload(
     payload: dict = {
         "fiber_half_dim": data.fiber_half_dim,
         "components": [
-            {
-                "name": comp.name,
-                "euler_char": comp.euler_char,
-                "weights": list(comp.weights),
-            }
-            for comp in data.components
+            {"name": name, "euler_char": chi, "weights": list(weights)}
+            for name, chi, weights in zip(data._names, data._chis, data._rows)
         ],
     }
     if data.fiber_euler_char is not None:

@@ -31,7 +31,7 @@ import re
 import sys
 from collections import Counter
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, parse_weight_list, strict_index
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, parse_weight_list, strict_index
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
@@ -189,17 +189,17 @@ def parse_real_rep(text: str) -> RealRep:
     for term in s.split("+"):
         m = _TERM_RE.match(term)
         if m is None:
-            raise ParseError(f"bad representation term '{term}'")
+            raise ParseError(f"bad representation term '{clip(term)}'")
         try:
             mult = int(m.group(1)) if m.group(1) else 1
             dim = int(m.group(2))
         except ValueError:  # only digits get here: over the int-string digit limit
             raise ParseError(
-                f"representation term '{term[:20]}...' has a number over the "
+                f"representation term '{clip(term)}' has a number over the "
                 f"{sys.get_int_max_str_digits()}-digit limit"
             ) from None
         if mult < 1:
-            raise ParseError(f"multiplicity must be >= 1 in '{term}'")
+            raise ParseError(f"multiplicity must be >= 1 in '{clip(term)}'")
         terms.append((dim, mult))
     return RealRep(tuple(terms))
 

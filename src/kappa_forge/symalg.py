@@ -25,7 +25,7 @@ import sys
 from math import prod
 from typing import Iterable, Sequence, Union
 
-from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record, strict_index
+from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record, clip, strict_index
 
 __all__ = [
     "CharClassMonomial",
@@ -273,17 +273,17 @@ def parse_class_monomial(text: str, n: int) -> CharClassMonomial:
     for factor in s.split("*"):
         m = _FACTOR_RE.match(factor)
         if m is None:
-            raise ParseError(f"bad class factor '{factor}'")
+            raise ParseError(f"bad class factor '{clip(factor)}'")
         try:
             exp = 1 if m.group(3) is None else int(m.group(3))
             idx = None if m.group(2) is None else int(m.group(2))
         except ValueError:  # only digits get here: over the int-string digit limit
             raise ParseError(
-                f"class factor '{factor[:20]}...' has a number over the "
+                f"class factor '{clip(factor)}' has a number over the "
                 f"{sys.get_int_max_str_digits()}-digit limit"
             ) from None
         if exp < 0:
-            raise ParseError(f"negative exponent in '{factor}'")
+            raise ParseError(f"negative exponent in '{clip(factor)}'")
         if idx is None:
             e_exp += exp
         elif 1 <= idx <= n:

@@ -511,6 +511,31 @@ def test_over_long_weight_argument_is_parse_error(capsys):
     assert err == f"error: bad weight '{'9' * 20}...' is over the 4300-digit limit\n"
 
 
+X20 = "x" * 20
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sigma", "--class", "p1", "--weights", "1," + "x" * 5000], f"bad weight '{X20}...'"),
+        (["theorem-a", "--b", "1," + "x" * 5000], f"bad rational '{X20}...'"),
+        (["su2-restrict", "--rep", "V1+" + "x" * 5000], f"bad representation term '{X20}...'"),
+        (["su2-restrict", "--rep", "0*V" + "1" * 4000],
+         f"multiplicity must be >= 1 in '0*v{'1' * 17}...'"),
+        (["sigma", "--class", "p1*" + "x" * 5000, "--weights", "1,2"],
+         f"bad class factor '{X20}...'"),
+        (["sigma", "--class", "p1^-" + "1" * 4000, "--weights", "1,2"],
+         f"negative exponent in 'p1^-{'1' * 16}...'"),
+        (["theorem-a", "--b", "1", "--flags", "x" * 5000], f"unknown hypothesis flag '{X20}...' "
+         "(expected neg-euler, nontrivial-action, rationally-odd)"),
+    ],
+    ids=["sigma", "theorem-a", "su2-restrict", "su2-restrict-multiplicity", "sigma-class",
+         "sigma-class-exponent", "theorem-a-flags"],
+)
+def test_malformed_list_token_is_quoted_by_its_first_20_characters(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_pullback_multiple_inputs_with_jobs(capsys, tmp_path):
     paths = []
     for k in (0, 2, 4):

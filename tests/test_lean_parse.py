@@ -196,6 +196,41 @@ def test_lean_parser_matches_reference_after_good_components(broken):
 
 
 # ---------------------------------------------------------------------------
+# parsed columns against constructed records
+# ---------------------------------------------------------------------------
+
+def round_trips(d):
+    return [copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=valid_payloads())
+def test_parsed_columns_behave_as_constructed_records(payload):
+    payload.pop("expected", None)  # a bad annotation makes both parsers raise
+    parsed = parse_fixed_point_payload(copy.deepcopy(payload)).data
+    records = reference_parse(copy.deepcopy(payload)).data.components
+    built = FixedPointData(payload["fiber_half_dim"], records, payload.get("fiber_euler_char"))
+    assert parsed == built and hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built) == (
+        f"FixedPointData(fiber_half_dim={payload['fiber_half_dim']}, components={records!r}, "
+        f"fiber_euler_char={payload.get('fiber_euler_char')!r})"
+    )
+    assert fixed_point_payload(parsed) == fixed_point_payload(built)
+    assert validate_fixed_data(parsed) == validate_fixed_data(built)
+    for restored, rebuilt in zip(round_trips(parsed), round_trips(built)):
+        assert restored == rebuilt == parsed
+        assert hash(restored) == hash(rebuilt) and repr(restored) == repr(rebuilt)
+    # the view: equal records on every access, not the same objects
+    assert parsed.components == records
+    assert all(a is not b for a, b in zip(parsed.components, parsed.components))
+    for comp in parsed.components:
+        assert type(comp) is FixedComponent and type(comp.weights) is WeightVector
+        assert type(comp.weights.weights) is tuple
+        assert {type(a) for a in comp.weights.weights} == {int}
+        assert type(comp.euler_char) is int
+
+
+# ---------------------------------------------------------------------------
 # validation once per object
 # ---------------------------------------------------------------------------
 

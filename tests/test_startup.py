@@ -151,7 +151,7 @@ def test_verdict_and_su2_calls_load_no_dataclasses(argv):
     ids=lambda v: " ".join(v[:2]),
 )
 def test_file_and_catalog_calls_load_no_dataclasses(tmp_path, argv):
-    # symalg and localization still import typing, which loads neither
+    # symalg still imports typing, which loads neither
     data = tmp_path / "data.json"
     data.write_text(json.dumps(DATA))
     argv = [a.replace("{data}", str(data)) for a in argv]

@@ -4,6 +4,8 @@
 of sorted absolute weights and weight that value by the row's chi sum, or
 by its signed chi sum for an odd e-exponent.  The per-component loops in
 ``oracles`` are the reference; call counts guard the grouping itself.
+Each differential runs on constructed data and again on that data parsed
+back from its file payload, whose parser fills the columns directly.
 """
 
 from fractions import Fraction
@@ -21,7 +23,9 @@ from kappa_forge.localization import (
     FixedPointData,
     KappaValue,
     compare_expected,
+    fixed_point_payload,
     localize_circle,
+    parse_fixed_point_payload,
     pullback_su2,
     read_fixed_point_file,
     write_fixed_point_file,
@@ -32,6 +36,11 @@ import oracles
 from test_one_pass import count_calls, outcome
 
 BIG = 2**20  # an exponent that takes any base of two or more bits past the value limit
+
+
+def reparsed(d):
+    """``d`` written to its file payload and parsed back: the same data, read into columns."""
+    return parse_fixed_point_payload(fixed_point_payload(d)).data
 
 
 def distinct_rows(d):
@@ -91,7 +100,9 @@ def annotations(draw, n):
 def test_localize_circle_matches_per_component_sum(n, data):
     d = data.draw(grouped_data(n))
     c = data.draw(monomials(n))
-    assert outcome(localize_circle, d, c) == outcome(oracles.localize_circle, d, c)
+    reference = outcome(oracles.localize_circle, d, c)
+    assert outcome(localize_circle, d, c) == reference
+    assert outcome(localize_circle, reparsed(d), c) == reference
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,9 +110,9 @@ def test_localize_circle_matches_per_component_sum(n, data):
 def test_compare_expected_matches_per_component_sum(n, data):
     d = data.draw(grouped_data(n))
     expected = data.draw(annotations(n))
-    assert outcome(compare_expected, d, expected) == outcome(
-        oracles.compare_expected, d, expected
-    )
+    reference = outcome(oracles.compare_expected, d, expected)
+    assert outcome(compare_expected, d, expected) == reference
+    assert outcome(compare_expected, reparsed(d), expected) == reference
 
 
 def test_rows_that_differ_by_sign_or_order_are_one_row():
