@@ -10,7 +10,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the public names each submodule contributes to the flat namespace
+# the public names each submodule contributes to the flat namespace: the one
+# list of them, from which each submodule builds its __all__
 _MODULE_EXPORTS = {
     "catalog": (
         "CatalogEntry",

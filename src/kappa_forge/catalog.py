@@ -18,8 +18,8 @@ none that could be written down honestly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
+from . import _MODULE_EXPORTS
 from .errors import MAX_RESULT_ENTRIES, DomainError, Record, strict_index
 from .localization import (
     C2,
@@ -34,15 +34,11 @@ from .localization import (
 from .obstruction import HypothesisFlags
 from .symalg import CharClassMonomial, WeightVector
 
-__all__ = [
-    "CatalogEntry",
-    "RationalOddity",
-    "WgHypothesisReport",
-    "connected_sum_euler",
-    "rationally_odd_check",
-    "s2xs2_family",
-    "wg_hypothesis_report",
-]
+TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
+if TYPE_CHECKING:
+    from typing import Iterable
+
+__all__ = [*_MODULE_EXPORTS["catalog"]]
 
 
 class CatalogEntry(Record):

@@ -65,17 +65,8 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-def _resolve_format(args) -> str:
-    fmt = args.format or os.environ.get(FORMAT_ENV) or "text"
-    if fmt not in ("text", "json"):
-        raise ParseError(
-            f"bad output format '{fmt}' (expected 'text' or 'json')"
-        )
-    return fmt
-
-
 def _emit(args, payload, lines) -> None:
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         import json
 
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -529,6 +520,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # resolved before any work, so a bad value computes and writes nothing
+        args.format = args.format or os.environ.get(FORMAT_ENV) or "text"
+        if args.format not in ("text", "json"):
+            raise ParseError(f"bad output format '{args.format}' (expected 'text' or 'json')")
         return args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception types, size limits, integer arguments and the frozen record type of the package."""
+"""Exception types, size limits, integer and rational arguments and the frozen record types of the package."""
 
 import operator
 import sys
@@ -40,17 +40,20 @@ class Record:
             cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # the slots' member descriptors store a value with no __setattr__ lookup
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._slot_setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     @classmethod
     def _trusted(cls, *values):
-        """An instance of values that are already normalized, without ``__post_init__``.
+        """An instance of already normalized values in ``__slots__`` order, without ``__post_init__``.
 
         For a caller that has just checked every value the way the
         constructor would; anything else goes through the constructor.
+        Slots past the values given stay unset.  Without private slots,
+        ``__slots__`` order is field order.
         """
         obj = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(obj, value)
+        for set_slot, value in zip(cls._slot_setters, values):
+            set_slot(obj, value)
         return obj
 
     def __init__(self, *args, **kwargs):
@@ -118,6 +121,29 @@ class Record:
         return type(self), self._values()
 
 
+class SequenceRecord(Record):
+    """A record of one tuple field that reads as that tuple.
+
+    ``of`` passes an instance through and builds one from any other
+    iterable; ``len``, iteration and the comma-joined text go over the field.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, values):
+        return values if isinstance(values, cls) else cls(tuple(values))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._fields[0]))
+
+    def __iter__(self):
+        return iter(getattr(self, self._fields[0]))
+
+    def __str__(self) -> str:
+        return ",".join(map(str, getattr(self, self._fields[0])))
+
+
 def strict_index(value) -> int:
     """``operator.index(value)``, refusing ``bool``: True and False are no integer arguments."""
     if isinstance(value, bool):
@@ -171,6 +197,21 @@ def bounded_fraction(text: str):
             f"{limit}-digit limit"
         )
     return value
+
+
+def exact_rational(value):
+    """``Fraction(value)`` of an int, a Fraction or a string under the digit limit.
+
+    A string goes through :func:`bounded_fraction`.  A ``bool`` or a
+    ``float`` raises TypeError: True is no 1, and 0.1 is no 1/10.
+    """
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an exact rational, got {value!r}")
+    if isinstance(value, str):
+        return bounded_fraction(value)
+    from fractions import Fraction  # here: fractions loads decimal, which betti never needs
+
+    return Fraction(value)
 
 
 def parse_weight_list(text: str) -> list[int]:

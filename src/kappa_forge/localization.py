@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from math import prod
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, bounded_fraction, strict_index
+from . import _MODULE_EXPORTS
+from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, exact_rational, strict_index
 from .symalg import (
     CharClassMonomial,
     WeightVector,
@@ -38,28 +38,10 @@ from .symalg import (
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
+    from fractions import Fraction
     from typing import Iterator, Optional, Sequence
 
-__all__ = [
-    "C2",
-    "Diagnostic",
-    "ExpectedComparison",
-    "FixedComponent",
-    "FixedPointData",
-    "FixedPointFile",
-    "GAMMA",
-    "KappaValue",
-    "compare_expected",
-    "fixed_point_payload",
-    "gamma_to_c2",
-    "kappa_class_label",
-    "localize_circle",
-    "parse_fixed_point_payload",
-    "pullback_su2",
-    "read_fixed_point_file",
-    "validate_fixed_data",
-    "write_fixed_point_file",
-]
+__all__ = [*_MODULE_EXPORTS["localization"], "kappa_class_label"]
 
 GAMMA = "gamma"
 C2 = "c2"
@@ -94,19 +76,12 @@ class FixedPointData(Record):
     copies and pickles never see it.
     """
 
+    # the parser passes the first five, in this order, to _trusted
     __slots__ = ("fiber_half_dim", "_names", "_chis", "_rows", "fiber_euler_char", "_diagnostics")
     _fields = ("fiber_half_dim", "components", "fiber_euler_char")
     _defaults = (None,)
     fiber_half_dim: int
     fiber_euler_char: Optional[int]
-
-    @classmethod
-    def _of_columns(cls, n: int, names: tuple, chis: tuple, rows: tuple, chi) -> "FixedPointData":
-        """An instance of a checked n and chi and of columns as the constructor stores them."""
-        obj = object.__new__(cls)
-        for slot, value in zip(cls.__slots__, (n, names, chis, rows, chi)):  # in slot order
-            object.__setattr__(obj, slot, value)
-        return obj
 
     def _split(self, components) -> None:
         # the setter the constructor stores the field ``components`` with
@@ -155,7 +130,7 @@ class KappaValue(Record):
     generator_power: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        object.__setattr__(self, "coefficient", exact_rational(self.coefficient))
         deg = self.class_monomial.degree
         if self.generator == GAMMA:
             expected = deg // 2
@@ -280,7 +255,7 @@ def localize_circle(d: FixedPointData, c: CharClassMonomial) -> KappaValue:
         sigma_eval(c, row) * (signed_chi if odd else chi)
         for row, chi, signed_chi in _weight_rows(d, odd)
     )
-    return KappaValue(c, Fraction(coeff), GAMMA, c.degree // 2)
+    return KappaValue(c, coeff, GAMMA, c.degree // 2)
 
 
 def gamma_to_c2(kv: KappaValue) -> KappaValue:
@@ -360,7 +335,7 @@ def compare_expected(
     out = []
     for ev, coeff in zip(expected, coeffs):
         c = ev.class_monomial
-        kv = KappaValue(c, Fraction(coeff), GAMMA, c.degree // 2)
+        kv = KappaValue(c, coeff, GAMMA, c.degree // 2)
         if ev.generator == C2:
             kv = gamma_to_c2(kv)
         out.append(ExpectedComparison(ev, kv))
@@ -380,9 +355,9 @@ def _plain_int(value, where: str) -> int:
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - allowed, key=str)  # a library caller's keys need not be strings
     if unknown:
-        raise ParseError(f"unknown key '{unknown[0]}' in {where}")
+        raise ParseError(f"unknown key '{clip(str(unknown[0]))}' in {where}")
 
 
 def parse_fixed_point_payload(obj) -> FixedPointFile:
@@ -425,7 +400,7 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
         names.append(name)
         chis.append(euler_char)
         rows.append(tuple(weights))
-    data = FixedPointData._of_columns(n, tuple(names), tuple(chis), tuple(rows), chi)
+    data = FixedPointData._trusted(n, tuple(names), tuple(chis), tuple(rows), chi)
 
     expected = None
     if "expected" in obj:
@@ -448,10 +423,7 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
                     f"{where}: 'coefficient' must be an integer or a 'p/q' string"
                 )
             try:
-                if isinstance(coeff_raw, int):
-                    coefficient = Fraction(coeff_raw)
-                else:
-                    coefficient = bounded_fraction(coeff_raw)
+                coefficient = exact_rational(coeff_raw)
             except ParseError as exc:  # over the digit limit
                 raise ParseError(f"{where}: {exc}") from None
             except (ValueError, ZeroDivisionError):

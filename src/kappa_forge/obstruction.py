@@ -25,63 +25,36 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import MAX_VALUE_BITS, DomainError, Record, strict_index
+from . import _MODULE_EXPORTS
+from .errors import MAX_VALUE_BITS, DomainError, Record, SequenceRecord, exact_rational, strict_index
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Iterable, Optional, Union
+    from typing import Optional, Union
 
     from .symalg import WeightsLike
 
-__all__ = [
-    "BVector",
-    "BettiFeasibility",
-    "CONSISTENT",
-    "Certificate",
-    "HypothesisFlags",
-    "NotApplicable",
-    "RULED_OUT",
-    "Reason",
-    "Verdict",
-    "adams_transform",
-    "betti_feasible",
-    "nonkinetic_certificate",
-    "theorem_a_check",
-    "weights_to_b",
-]
+__all__ = [*_MODULE_EXPORTS["obstruction"], "CONSISTENT", "RULED_OUT"]
 
 CONSISTENT = "consistent"
 RULED_OUT = "ruled_out"
 
 
-class BVector(Record):
-    """Exact rational coefficients b_1..b_n of the normalized kappa-values."""
+class BVector(SequenceRecord):
+    """Exact rational coefficients b_1..b_n of the normalized kappa-values.
+
+    Each entry is taken as :func:`errors.exact_rational` takes it.
+    """
 
     __slots__ = ("entries",)
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # imported here: fractions loads decimal, which betti never needs
-        from fractions import Fraction
-
-        entries = tuple(Fraction(x) for x in self.entries)
+        entries = tuple(map(exact_rational, self.entries))
         if not entries:
             raise DomainError("b-vector must have at least one entry")
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def of(cls, values: Union["BVector", Iterable]) -> "BVector":
-        return values if isinstance(values, BVector) else cls(tuple(values))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __str__(self) -> str:
-        return ",".join(str(x) for x in self.entries)
 
 
 class HypothesisFlags(Record):

@@ -31,20 +31,16 @@ import re
 import sys
 from collections import Counter
 
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, parse_weight_list, strict_index
+from . import _MODULE_EXPORTS
+from .errors import (
+    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, SequenceRecord, clip, parse_weight_list, strict_index,
+)
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
     from typing import Iterable, Optional
 
-__all__ = [
-    "RealRep",
-    "WeightMultiset",
-    "parse_real_rep",
-    "parse_weight_multiset",
-    "realize_weights",
-    "restrict_to_torus",
-]
+__all__ = [*_MODULE_EXPORTS["su2rep"]]
 
 
 class RealRep(Record):
@@ -83,7 +79,7 @@ class RealRep(Record):
         return "+".join(parts) or "0"
 
 
-class WeightMultiset(Record):
+class WeightMultiset(SequenceRecord):
     """Multiset of non-negative circle weights, one entry per rotation plane."""
 
     __slots__ = ("entries",)
@@ -92,19 +88,6 @@ class WeightMultiset(Record):
     def __post_init__(self):
         folded = tuple(sorted(map(abs, map(strict_index, self.entries)), reverse=True))
         object.__setattr__(self, "entries", folded)
-
-    @classmethod
-    def of(cls, entries: Iterable[int]) -> "WeightMultiset":
-        return entries if isinstance(entries, WeightMultiset) else cls(tuple(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __str__(self) -> str:
-        return ",".join(str(a) for a in self.entries)
 
 
 def _planes(d: int) -> Iterable[int]:

@@ -23,23 +23,20 @@ from __future__ import annotations
 import re
 import sys
 from math import prod
-from typing import Iterable, Sequence, Union
 
-from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record, clip, strict_index
+from . import _MODULE_EXPORTS
+from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record, SequenceRecord, clip, strict_index
 
-__all__ = [
-    "CharClassMonomial",
-    "WeightVector",
-    "WeightsLike",
-    "elementary_symmetric",
-    "parse_class_monomial",
-    "reduce_monomial",
-    "sigma_eval",
-    "sigma_eval_many",
-]
+TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence, Union
+
+    WeightsLike = Union["WeightVector", Sequence[int]]
+
+__all__ = [*_MODULE_EXPORTS["symalg"]]
 
 
-class WeightVector(Record):
+class WeightVector(SequenceRecord):
     """The n integer rotation weights of a real 2n-dimensional circle representation."""
 
     __slots__ = ("weights",)
@@ -50,22 +47,6 @@ class WeightVector(Record):
         if not ws:
             raise DomainError("empty weight vector: a 2n-dimensional fiber needs n >= 1")
         object.__setattr__(self, "weights", ws)
-
-    @classmethod
-    def of(cls, w: "WeightsLike") -> "WeightVector":
-        return w if isinstance(w, WeightVector) else cls(tuple(w))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __str__(self) -> str:
-        return ",".join(str(a) for a in self.weights)
-
-
-WeightsLike = Union[WeightVector, Sequence[int]]
 
 
 class CharClassMonomial(Record):

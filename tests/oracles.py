@@ -11,7 +11,7 @@ import math
 import pickle
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import pytest
 
@@ -21,6 +21,7 @@ from kappa_forge.errors import (
     ParseError,
     Record,
     bounded_fraction,
+    clip,
 )
 from kappa_forge.localization import (
     C2,
@@ -37,12 +38,14 @@ from kappa_forge.localization import (
 from kappa_forge.su2rep import RealRep, WeightMultiset
 from kappa_forge.symalg import (
     CharClassMonomial,
-    WeightsLike,
     WeightVector,
     parse_class_monomial,
     sigma_eval,
     sigma_eval_many,
 )
+
+if TYPE_CHECKING:
+    from kappa_forge.symalg import WeightsLike
 
 
 def check_frozen_record(value: Record, text: str) -> None:
@@ -91,7 +94,7 @@ def check_frozen_record(value: Record, text: str) -> None:
         cls(*values, **{names[0]: values[0]})
 
 
-def signed_doubling_sigma(i: int, w: WeightsLike) -> int:
+def signed_doubling_sigma(i: int, w: "WeightsLike") -> int:
     """(-1)^i sigma_{2i} of the doubled signed list (a_1, -a_1, ..., a_n, -a_n).
 
     Expanded term by term over all 2i-element subsets, deliberately without
@@ -223,8 +226,9 @@ def check_weight_constraints(w: WeightMultiset, d: int) -> ConstraintCheck:
 
 # The fixed-point file parser as it was before its component loop got a lean
 # path: every entry goes through the checks and the public constructors.
-# Kept unchanged as the reference the lean parser must agree with, value for
-# value and error for error.
+# Kept as the reference the lean parser must agree with, value for value and
+# error for error; only its unknown-key message changed with the package's
+# (keys sorted as text, quoted by their first 20 characters).
 
 _TOP_KEYS = {"fiber_half_dim", "fiber_euler_char", "components", "expected", "provenance"}
 _COMPONENT_KEYS = {"name", "euler_char", "weights"}
@@ -239,9 +243,9 @@ def _plain_int(value, where: str) -> int:
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - allowed, key=str)
     if unknown:
-        raise ParseError(f"unknown key '{unknown[0]}' in {where}")
+        raise ParseError(f"unknown key '{clip(str(unknown[0]))}' in {where}")
 
 
 def parse_fixed_point_payload(obj) -> FixedPointFile:

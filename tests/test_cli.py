@@ -621,11 +621,20 @@ def test_format_flag_overrides_env(capsys, monkeypatch):
     assert out.strip() == "5"
 
 
-def test_bad_env_format_is_parse_error(capsys, monkeypatch):
+def test_bad_env_format_is_parse_error(capsys, monkeypatch, tmp_path):
+    # the format is resolved before any work: nothing is printed or written
     monkeypatch.setenv("KAPPA_FORGE_FORMAT", "yaml")
-    code, _, err = run(capsys, ["sigma", "--class", "p1", "--weights", "2,1"])
-    assert code == 2
-    assert "yaml" in err
+    out_file = tmp_path / "out.json"
+    for argv in (
+        ["sigma", "--class", "p1", "--weights", "2,1"],
+        ["catalog", "s2xs2", "--k", "4"],
+        ["catalog", "s2xs2", "--k", "4", "--out", str(out_file)],
+        ["catalog", "wg", "--n", "3", "--g", "2"],
+    ):
+        assert run(capsys, argv) == (
+            2, "", "error: bad output format 'yaml' (expected 'text' or 'json')\n"
+        ), argv
+        assert not out_file.exists()
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,8 +1,12 @@
-"""Integer arguments are taken exactly or refused, never truncated.
+"""Integer and rational arguments are taken exactly or refused, never truncated.
 
 A float, a Fraction, a string or a bool where an integer belongs raises
 TypeError (``errors.strict_index``); ``int()`` would silently turn 2.9 into
-2, and ``operator.index`` takes True as 1.
+2, and ``operator.index`` takes True as 1.  A rational argument (a b-vector
+entry, a kappa coefficient) is an int, a Fraction or a string; a float or a
+bool raises TypeError (``errors.exact_rational``), and a string whose
+exponent form would pass the digit limit raises ParseError before Fraction
+builds the number.
 """
 
 from fractions import Fraction
@@ -15,6 +19,7 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
+from kappa_forge.errors import ParseError
 from kappa_forge.localization import (
     GAMMA,
     FixedComponent,
@@ -23,6 +28,7 @@ from kappa_forge.localization import (
     pullback_su2,
 )
 from kappa_forge.obstruction import (
+    BVector,
     HypothesisFlags,
     adams_transform,
     betti_feasible,
@@ -62,6 +68,11 @@ NOT_INTEGERS = {
     "rationally_odd_check": lambda: rationally_odd_check([1, 0, 0.5, 0, 1]),
     "wg_hypothesis_report-n": lambda: wg_hypothesis_report(3.5, 2),
     "wg_hypothesis_report-g": lambda: wg_hypothesis_report(3, Fraction(5, 2)),
+    "BVector-float": lambda: BVector((1, 0.1)),
+    "BVector-inf": lambda: BVector((float("inf"),)),
+    "BVector-nan": lambda: BVector((float("nan"),)),
+    "KappaValue-coefficient-float": lambda: KappaValue(P1, 0.5, GAMMA, 2),
+    "KappaValue-coefficient-inf": lambda: KappaValue(P1, float("-inf"), GAMMA, 2),
 }
 
 
@@ -95,6 +106,8 @@ BOOLS = {
     "connected_sum_euler": lambda: connected_sum_euler(2, True, 4),
     "rationally_odd_check": lambda: rationally_odd_check([True, 0, 2, 0, 1]),
     "wg_hypothesis_report": lambda: wg_hypothesis_report(3, True),
+    "BVector": lambda: BVector((1, True)),
+    "KappaValue-coefficient": lambda: KappaValue(P1, False, GAMMA, 2),
 }
 
 
@@ -102,6 +115,37 @@ BOOLS = {
 def test_bool_argument_is_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+OVER_DIGIT_LIMIT = {
+    "BVector-exponent": lambda: BVector(("1e10000000",)),
+    "BVector-huge-exponent": lambda: BVector(("1", "1e1000000000")),
+    "KappaValue-coefficient-exponent": lambda: KappaValue(P1, "-1e10000000", GAMMA, 2),
+    "KappaValue-coefficient-padded": lambda: KappaValue(P1, " 5E+99999 ", GAMMA, 2),
+}
+
+
+@pytest.mark.parametrize("call", OVER_DIGIT_LIMIT.values(), ids=OVER_DIGIT_LIMIT.keys())
+def test_rational_string_over_the_digit_limit_is_parse_error(call):
+    # the exponent is bounded before Fraction takes 10 to its power
+    with pytest.raises(ParseError, match="4300-digit limit"):
+        call()
+
+
+def test_rational_string_of_too_many_digits_is_value_error():
+    # the interpreter's int-string limit refuses these as it reads them
+    with pytest.raises(ValueError, match="4300 digits"):
+        BVector(("1/" + "9" * 5000,))
+    with pytest.raises(ValueError, match="4300 digits"):
+        KappaValue(P1, "9" * 5000, GAMMA, 2)
+
+
+def test_exact_rationals_are_taken_as_before():
+    assert BVector((3, Fraction(1, 2), "-7/4", " 2.5E1 ")).entries == (
+        3, Fraction(1, 2), Fraction(-7, 4), 25,
+    )
+    assert KappaValue(P1, "1/3", GAMMA, 2).coefficient == Fraction(1, 3)
+    assert KappaValue(P1, 4, GAMMA, 2) == KappaValue(P1, Fraction(4), GAMMA, 2)
 
 
 def test_bool_is_refused_before_the_value_is_used():

@@ -28,6 +28,7 @@ from kappa_forge.localization import (
 )
 from kappa_forge.symalg import CharClassMonomial, WeightVector, sigma_eval
 from oracles import check_frozen_record
+from oracles import parse_fixed_point_payload as reference_parse
 
 
 def four_point_data(k, chi=4):
@@ -269,6 +270,27 @@ def test_parse_rejects_unknown_component_key():
     payload["components"][0]["orientation"] = "up"
     with pytest.raises(ParseError, match="orientation"):
         parse_fixed_point_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"fiber_half_dim": 2, 1: 2, "x": 3, "components": []},
+         "unknown key '1' in fixed-point data"),
+        ({"fiber_half_dim": 1, "components": [{"name": "m", "euler_char": 1, "weights": [1],
+                                               (1, 2): 0, "z": 0}]},
+         "unknown key '(1, 2)' in components[0]"),
+        ({"fiber_half_dim": 1, "components": [], "k" * 5000: 0},
+         f"unknown key '{'k' * 20}...' in fixed-point data"),
+    ],
+    ids=["int-key", "tuple-key", "long-key"],
+)
+def test_unknown_keys_of_any_type_are_quoted_clipped(payload, message):
+    # a library caller may pass keys JSON never yields; both parsers sort them as text
+    for parse in (parse_fixed_point_payload, reference_parse):
+        with pytest.raises(ParseError) as exc:
+            parse(payload)
+        assert str(exc.value) == message
 
 
 def test_parse_rejects_wrong_types():

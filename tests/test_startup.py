@@ -66,8 +66,9 @@ CATALOG = {"catalog", "errors", "localization", "obstruction", "symalg"}
 
 
 # the same, but lists every module loaded after the interpreter's own start-up and
-# imports json for its report only after taking that list: a module that a site
-# hook preloads is in the baseline and never counts
+# imports json for its report only after taking that list.  Probes run with -S: a
+# site hook that preloads a module (typing, say) would put it in the baseline, and
+# a check that the call never loads it would pass without looking
 STDLIB_PROBE = """
 import sys
 before = set(sys.modules)
@@ -85,7 +86,7 @@ def run_probe(script, argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+        [sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True, env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -151,11 +152,10 @@ def test_verdict_and_su2_calls_load_no_dataclasses(argv):
     ids=lambda v: " ".join(v[:2]),
 )
 def test_file_and_catalog_calls_load_no_dataclasses(tmp_path, argv):
-    # symalg still imports typing, which loads neither
     data = tmp_path / "data.json"
     data.write_text(json.dumps(DATA))
     argv = [a.replace("{data}", str(data)) for a in argv]
-    assert run_probe(STDLIB_PROBE, argv) & {"dataclasses", "inspect"} == set()
+    assert run_probe(STDLIB_PROBE, argv) & {"dataclasses", "inspect", "typing"} == set()
 
 
 def test_betti_loads_no_json_and_no_fractions():
