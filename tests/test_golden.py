@@ -1,8 +1,11 @@
 """Golden-output test: every subcommand's stdout, stderr and exit status, byte for byte.
 
 ``golden_cli.json`` holds the recorded result of each call in ``CALLS``, in
-both output formats.  Paths under the temporary input directory are written
-as ``<tmp>``.  Regenerate the fixture (only when an output change is
+both output formats, then of each call in ``PARSER_CALLS`` (help and usage
+errors, which the format does not change) as given.  A call that ends in
+``SystemExit`` records its code as the exit status.  Paths under the
+temporary input directory are written as ``<tmp>``; help is formatted for
+80 columns.  Regenerate the fixture (only when an output change is
 intended) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_cli.json
@@ -202,6 +205,31 @@ CALLS = [
     ["betti", "--w-even", "2", "--w-odd", "-6", "--m-even", "1", "--m-odd", "5"],
 ]
 
+BETTI = ["--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"]
+
+# argv that argparse answers itself: help, and every usage error
+PARSER_CALLS = [
+    ["-h"],
+    *([name, "-h"] for name in (
+        "sigma", "localize", "pullback-su2", "theorem-a", "adams", "su2-restrict",
+        "su2-realize", "betti", "catalog",
+    )),
+    ["catalog", "s2xs2", "-h"],
+    ["catalog", "wg", "-h"],
+    [],
+    ["frobnicate"],
+    ["catalog"],
+    ["--format", "json", "betti", *BETTI],
+    ["betti", "--w-even", "2"],
+    ["sigma", "--class", "p1", "--weights", "1", "--verbose"],
+    ["theorem-a", "--b", "9,18", "--fl", "x"],  # the abbreviation is taken, the value is not
+    ["pullback-su2", "--input", _f("rich.json"), "--i", "x"],
+    ["theorem-a", "--b", "9,18", "--format", "xml"],
+    ["adams", "--k", "3", "--b", "1,2", "--certify=1"],
+    ["theorem-a", "--b", "-6,12"],
+    ["localize", "--input=" + _f("rich.json"), _f("rich.json")],
+]
+
 
 def _write_inputs(root: Path) -> None:
     for name, payload in INPUTS.items():
@@ -213,7 +241,10 @@ def _write_inputs(root: Path) -> None:
 def _call(root: str, argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([a.replace(TMP, root) for a in argv])
+        try:
+            code = main([a.replace(TMP, root) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue().replace(root, TMP), err.getvalue().replace(root, TMP)
 
 
@@ -230,11 +261,15 @@ def record(root: Path) -> list[dict]:
                 written = Path(argv[argv.index("--out") + 1].replace(TMP, str(root)))
                 entry["file"] = written.read_text(encoding="utf-8")
             results.append(entry)
+    for argv in PARSER_CALLS:
+        code, out, err = _call(str(root), argv)
+        results.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     return results
 
 
 def test_cli_output_matches_golden_fixture(tmp_path, monkeypatch):
     monkeypatch.delenv("KAPPA_FORGE_FORMAT", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     actual = record(tmp_path)
     assert [e["argv"] for e in actual] == [e["argv"] for e in golden]
@@ -248,6 +283,7 @@ def test_cli_output_matches_golden_fixture(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("KAPPA_FORGE_FORMAT", None)
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         json.dump(record(Path(tmp)), sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
