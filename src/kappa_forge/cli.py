@@ -20,15 +20,18 @@ errors.  --format json|text selects the encoding; the environment variable
 KAPPA_FORGE_FORMAT supplies the default.
 
 Each handler imports the modules it calls, so a run loads only those:
-theorem-a, adams and betti never import localization or symalg.
+theorem-a, adams and betti never import localization or symalg.  A
+well-formed argv is read straight from the option table (COMMANDS);
+argparse, with the gettext and locale it loads, is imported only to print
+help or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, ParseError, bounded_fraction, clip, parse_weight_list
 
@@ -396,133 +399,180 @@ def cmd_catalog_wg(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt_parent = argparse.ArgumentParser(add_help=False)
-    fmt_parent.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=None,
-        help=f"output encoding (default from ${FORMAT_ENV}, else text)",
-    )
+FORMATS = ("text", "json")
+
+# One row per option: (option string, dest, type, required, nargs, help).  The
+# type is int, str, a tuple of the str values allowed, or bool for a flag;
+# nargs is None for one value, "+" for one or more and 0 for a flag.
+_FORMAT_OPTION = (
+    "--format", "format", FORMATS, False, None,
+    f"output encoding (default from ${FORMAT_ENV}, else text)",
+)
+_INPUT_OPTION = ("--input", "input", str, True, "+", "fixed-point data file(s)")
+
+# subcommand -> (help, handler, options), each taking --format first; a
+# subcommand with families (catalog) maps to (help, {family: the same})
+COMMANDS = {
+    "sigma": ("evaluate a class monomial on weights", cmd_sigma, (
+        ("--class", "cls", str, True, None, "e.g. p1, e*p1^2"),
+        ("--weights", "weights", str, True, None, "comma-separated integers"),
+    )),
+    "localize": ("localize kappa classes over the circle from fixed-point files", cmd_localize, (
+        _INPUT_OPTION,
+        ("--class", "cls", str, False, None,
+         "class monomial; omit to verify the file's expected annotations"),
+    )),
+    "pullback-su2": ("kappa[e*p_i] over SU(2) with the normalized b_i", cmd_pullback_su2, (
+        _INPUT_OPTION,
+        ("--i", "i", int, True, None, "Pontryagin index"),
+    )),
+    "theorem-a": ("obstruction verdict on a b-vector", cmd_theorem_a, (
+        ("--b", "b", str, True, None, "comma-separated rationals, e.g. 9,18"),
+        ("--flags", "flags", str, False, None,
+         "comma list from rationally-odd,neg-euler,nontrivial-action "
+         "(default: all, with a warning)"),
+    )),
+    "adams": (
+        "rescale a b-vector by k^(2i); --certify emits the non-kinetic certificate", cmd_adams, (
+            ("--k", "k", int, True, None, "odd integer"),
+            ("--b", "b", str, True, None, "comma-separated rationals"),
+            ("--certify", "certify", bool, False, 0, "run the certificate pipeline"),
+            ("--flags", "flags", str, False, None,
+             "hypothesis flags for --certify (default: all, with a warning)"),
+        ),
+    ),
+    "su2-restrict": ("torus weights of a real SU(2)-representation", cmd_su2_restrict, (
+        ("--rep", "rep", str, True, None, "e.g. V3+V4+2*V1"),
+    )),
+    "su2-realize": ("find a real representation with the given torus weights", cmd_su2_realize, (
+        ("--weights", "weights", str, True, None, "comma-separated integers"),
+    )),
+    "betti": ("fixed-set Betti sum feasibility", cmd_betti, (
+        ("--w-even", "w_even", int, True, None, None),
+        ("--w-odd", "w_odd", int, True, None, None),
+        ("--m-even", "m_even", int, True, None, None),
+        ("--m-odd", "m_odd", int, True, None, None),
+    )),
+    "catalog": ("generate the worked example families", {
+        "s2xs2": ("sphere-bundle double family", cmd_catalog_s2xs2, (
+            ("--k", "k", int, True, None, "even Euler number"),
+            ("--out", "out", str, False, None, "write the data file here"),
+        )),
+        "wg": ("connected-sum hypothesis report", cmd_catalog_wg, (
+            ("--n", "n", int, True, None, "odd integer >= 3"),
+            ("--g", "g", int, True, None, "number of summands"),
+        )),
+    }),
+}
+
+
+def read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, or None unless argv is plain.
+
+    Plain means: the exact subcommand, family and option names; each value
+    as ``--opt value`` or ``--opt=value``, with no space-separated value
+    starting with ``-`` and no ``--opt=--``; int values that int() takes, a
+    listed ``--format`` and every required option.  Help, abbreviations,
+    ``--`` and every usage error are left to argparse, which this reading
+    never imports.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    values = {"subcommand": argv[0]}
+    entry, rest = COMMANDS[argv[0]], list(argv[1:])
+    if len(entry) == 2:  # the family comes next
+        if not rest or rest[0] not in entry[1]:
+            return None
+        values["family"] = rest[0]
+        entry, rest = entry[1][rest[0]], rest[1:]
+    _, handler, options = entry
+    table = {option[0]: option for option in (_FORMAT_OPTION, *options)}
+    for _, dest, _, _, nargs, _ in table.values():
+        values[dest] = False if nargs == 0 else None
+    i = 0
+    while i < len(rest):
+        name, eq, value = rest[i].partition("=")
+        option = table.get(name)
+        if option is None:
+            return None
+        _, dest, kind, _, nargs, _ = option
+        i += 1
+        if nargs == 0:
+            if eq:
+                return None
+            given = [True]
+        elif eq:
+            if value == "--":  # argparse before 3.13 drops it and stores []
+                return None
+            given = [value]
+        else:
+            end = i
+            while end < len(rest) and not rest[end].startswith("-"):
+                end += 1
+            if end == i:
+                return None
+            if nargs is None:
+                end = i + 1
+            given, i = rest[i:end], end
+        if kind is int:
+            try:
+                given = [int(v) for v in given]
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and given[0] not in kind:
+            return None
+        values[dest] = given if nargs == "+" else given[0]
+    if any(required and values[dest] is None for _, dest, _, required, _, _ in table.values()):
+        return None
+    return SimpleNamespace(**values, handler=handler)
+
+
+def build_parser():
+    """The argparse parser of :data:`COMMANDS`, for help and usage errors."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="kappa-forge",
         description="Exact kappa-class localization and the action obstruction test.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser(
-        "sigma", parents=[fmt_parent], help="evaluate a class monomial on weights"
-    )
-    p.add_argument("--class", dest="cls", required=True, help="e.g. p1, e*p1^2")
-    p.add_argument("--weights", required=True, help="comma-separated integers")
-    p.set_defaults(handler=cmd_sigma)
-
-    p = sub.add_parser(
-        "localize",
-        parents=[fmt_parent],
-        help="localize kappa classes over the circle from fixed-point files",
-    )
-    p.add_argument("--input", required=True, nargs="+", help="fixed-point data file(s)")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        default=None,
-        help="class monomial; omit to verify the file's expected annotations",
-    )
-    p.set_defaults(handler=cmd_localize)
-
-    p = sub.add_parser(
-        "pullback-su2",
-        parents=[fmt_parent],
-        help="kappa[e*p_i] over SU(2) with the normalized b_i",
-    )
-    p.add_argument("--input", required=True, nargs="+", help="fixed-point data file(s)")
-    p.add_argument("--i", type=int, required=True, help="Pontryagin index")
-    p.set_defaults(handler=cmd_pullback_su2)
-
-    p = sub.add_parser(
-        "theorem-a", parents=[fmt_parent], help="obstruction verdict on a b-vector"
-    )
-    p.add_argument("--b", required=True, help="comma-separated rationals, e.g. 9,18")
-    p.add_argument(
-        "--flags",
-        default=None,
-        help="comma list from rationally-odd,neg-euler,nontrivial-action "
-        "(default: all, with a warning)",
-    )
-    p.set_defaults(handler=cmd_theorem_a)
-
-    p = sub.add_parser(
-        "adams",
-        parents=[fmt_parent],
-        help="rescale a b-vector by k^(2i); --certify emits the non-kinetic certificate",
-    )
-    p.add_argument("--k", type=int, required=True, help="odd integer")
-    p.add_argument("--b", required=True, help="comma-separated rationals")
-    p.add_argument("--certify", action="store_true", help="run the certificate pipeline")
-    p.add_argument(
-        "--flags",
-        default=None,
-        help="hypothesis flags for --certify (default: all, with a warning)",
-    )
-    p.set_defaults(handler=cmd_adams)
-
-    p = sub.add_parser(
-        "su2-restrict",
-        parents=[fmt_parent],
-        help="torus weights of a real SU(2)-representation",
-    )
-    p.add_argument("--rep", required=True, help="e.g. V3+V4+2*V1")
-    p.set_defaults(handler=cmd_su2_restrict)
-
-    p = sub.add_parser(
-        "su2-realize",
-        parents=[fmt_parent],
-        help="find a real representation with the given torus weights",
-    )
-    p.add_argument("--weights", required=True, help="comma-separated integers")
-    p.set_defaults(handler=cmd_su2_realize)
-
-    p = sub.add_parser(
-        "betti", parents=[fmt_parent], help="fixed-set Betti sum feasibility"
-    )
-    p.add_argument("--w-even", type=int, required=True)
-    p.add_argument("--w-odd", type=int, required=True)
-    p.add_argument("--m-even", type=int, required=True)
-    p.add_argument("--m-odd", type=int, required=True)
-    p.set_defaults(handler=cmd_betti)
-
-    p = sub.add_parser("catalog", help="generate the worked example families")
-    catalog_sub = p.add_subparsers(dest="family", required=True)
-
-    q = catalog_sub.add_parser(
-        "s2xs2", parents=[fmt_parent], help="sphere-bundle double family"
-    )
-    q.add_argument("--k", type=int, required=True, help="even Euler number")
-    q.add_argument("--out", default=None, help="write the data file here")
-    q.set_defaults(handler=cmd_catalog_s2xs2)
-
-    q = catalog_sub.add_parser(
-        "wg", parents=[fmt_parent], help="connected-sum hypothesis report"
-    )
-    q.add_argument("--n", type=int, required=True, help="odd integer >= 3")
-    q.add_argument("--g", type=int, required=True, help="number of summands")
-    q.set_defaults(handler=cmd_catalog_wg)
-
+    _add_commands(parser, "subcommand", COMMANDS)
     return parser
 
 
+def _add_commands(parser, dest, commands) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, entry in commands.items():
+        p = sub.add_parser(name, help=entry[0])
+        if len(entry) == 2:
+            _add_commands(p, "family", entry[1])
+            continue
+        _, handler, options = entry
+        for flag, dest, kind, required, nargs, help_text in (_FORMAT_OPTION, *options):
+            if nargs == 0:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"required": required, "nargs": nargs}
+            if kind is int:
+                kwargs["type"] = int
+            elif isinstance(kind, tuple):
+                kwargs["choices"] = kind
+            p.add_argument(flag, dest=dest, help=help_text, **kwargs)
+        p.set_defaults(handler=handler)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         # resolved before any work, so a bad value computes and writes nothing
         args.format = args.format or os.environ.get(FORMAT_ENV) or "text"
-        if args.format not in ("text", "json"):
+        if args.format not in FORMATS:
             raise ParseError(f"bad output format '{args.format}' (expected 'text' or 'json')")
         return args.handler(args)
     except ParseError as exc:

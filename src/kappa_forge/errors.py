@@ -176,21 +176,31 @@ def bounded_fraction(text: str):
     """``Fraction(text)``, refusing a numerator or denominator over the digit limit.
 
     Malformed text raises ValueError or ZeroDivisionError, as Fraction does;
-    a number over the int-string digit limit raises ParseError.  The exponent
-    is bounded before Fraction takes 10 to its power: past the limit plus the
-    mantissa's length, only a zero mantissa stays within it.
+    a number over the int-string digit limit, or written with more digits
+    than it, raises ParseError.  The exponent is bounded before Fraction
+    takes 10 to its power: past the limit plus the mantissa's length, only a
+    zero mantissa stays within it.
     """
     import re
     from fractions import Fraction
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     m = re.match(_EXPONENT, text.strip())  # Fraction ignores surrounding whitespace
-    if m and abs(int(m.group(2))) > limit + len(m.group(1)):
-        value = Fraction(m.group(1))
-        over = value != 0
+    try:
+        huge_exponent = m and abs(int(m.group(2))) > limit + len(m.group(1))
+        value = Fraction(m.group(1) if huge_exponent else text)
+    except ValueError as exc:
+        # int() refuses a run of more than `limit` digits: text that Fraction takes
+        # with each digit run cut to one digit was well formed, only too long
+        try:
+            Fraction(re.sub(r"\d+", "1", text))
+        except ValueError:
+            raise exc from None
+        over = True
     else:
-        value = Fraction(text)
-        over = max(abs(value.numerator), value.denominator) >= 10**limit
+        top = max(abs(value.numerator), value.denominator)
+        # 2**(3*limit) < 10**limit: only a longer value needs that power built
+        over = value != 0 if huge_exponent else top.bit_length() > 3 * limit and top >= 10**limit
     if over:  # a short exponent form stands for a long number too, so '...' always follows
         raise ParseError(
             f"rational '{text[:20]}...' has a numerator or denominator over the "

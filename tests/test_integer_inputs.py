@@ -4,9 +4,9 @@ A float, a Fraction, a string or a bool where an integer belongs raises
 TypeError (``errors.strict_index``); ``int()`` would silently turn 2.9 into
 2, and ``operator.index`` takes True as 1.  A rational argument (a b-vector
 entry, a kappa coefficient) is an int, a Fraction or a string; a float or a
-bool raises TypeError (``errors.exact_rational``), and a string whose
-exponent form would pass the digit limit raises ParseError before Fraction
-builds the number.
+bool raises TypeError (``errors.exact_rational``), and a string over the
+digit limit raises ParseError, an exponent form before Fraction builds the
+number.
 """
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
-from kappa_forge.errors import ParseError
+from kappa_forge.errors import ParseError, bounded_fraction
 from kappa_forge.localization import (
     GAMMA,
     FixedComponent,
@@ -122,6 +122,8 @@ OVER_DIGIT_LIMIT = {
     "BVector-huge-exponent": lambda: BVector(("1", "1e1000000000")),
     "KappaValue-coefficient-exponent": lambda: KappaValue(P1, "-1e10000000", GAMMA, 2),
     "KappaValue-coefficient-padded": lambda: KappaValue(P1, " 5E+99999 ", GAMMA, 2),
+    "BVector-literal": lambda: BVector(("9" * 5000,)),
+    "BVector-long-exponent": lambda: BVector(("1e" + "0" * 5000 + "1",)),
 }
 
 
@@ -133,11 +135,48 @@ def test_rational_string_over_the_digit_limit_is_parse_error(call):
 
 
 def test_rational_string_of_too_many_digits_is_value_error():
-    # the interpreter's int-string limit refuses these as it reads them
-    with pytest.raises(ValueError, match="4300 digits"):
+    # refused as ParseError, which is a ValueError as the interpreter's own refusal was
+    with pytest.raises(ValueError, match="4300-digit limit"):
         BVector(("1/" + "9" * 5000,))
-    with pytest.raises(ValueError, match="4300 digits"):
+    with pytest.raises(ValueError, match="4300-digit limit"):
         KappaValue(P1, "9" * 5000, GAMMA, 2)
+
+
+LIMIT = 4300  # the interpreter's default int-string digit limit
+NINES = "9" * LIMIT  # 10**LIMIT - 1, the largest numerator or denominator taken
+TEN_TO_LIMIT = "1" + "0" * LIMIT
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (NINES, Fraction(10**LIMIT - 1)),
+        ("1/" + NINES, Fraction(1, 10**LIMIT - 1)),
+        ("9" * (LIMIT - 1) + ".9e1", Fraction(10**LIMIT - 1)),
+        # an exponent form's denominator divides a power of 10
+        ("1e-4299", Fraction(1, 10**(LIMIT - 1))),
+    ],
+    ids=["numerator", "denominator", "numerator-exponent", "denominator-exponent"],
+)
+def test_rational_just_under_the_digit_limit_is_taken(text, value):
+    assert bounded_fraction(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [TEN_TO_LIMIT, "1/" + TEN_TO_LIMIT, "1e4300", "1e-4300"],
+    ids=["numerator", "denominator", "numerator-exponent", "denominator-exponent"],
+)
+def test_rational_at_the_digit_limit_is_parse_error(text):
+    with pytest.raises(ParseError, match="over the 4300-digit limit"):
+        bounded_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["x" + "9" * 5000, "1/2/" + "9" * 5000, "9" * 5000 + "_"])
+def test_malformed_long_rational_stays_a_bad_literal(text):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction") as exc:
+        bounded_fraction(text)
+    assert not isinstance(exc.value, ParseError)
 
 
 def test_exact_rationals_are_taken_as_before():

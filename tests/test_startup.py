@@ -99,29 +99,60 @@ def probe(argv):
     return run_probe(PROBE, argv) - {"cli"}
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["sigma", "--class", "p1", "--weights", "1,2"], {"errors", "symalg"}),
-        (["localize", "--input", "{data}"], FILES),
-        (["localize", "--input", "{data}", "--class", "p1"], FILES),
-        (["pullback-su2", "--input", "{data}", "--i", "1"], FILES),
-        (["theorem-a", "--b", "9,18", FLAGS], {"errors", "obstruction"}),
-        (["adams", "--k", "3", "--b", "1,2"], {"errors", "obstruction"}),
-        (["adams", "--k", "3", "--b", "1,2", "--certify", FLAGS], {"errors", "obstruction"}),
-        (["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"],
-         {"errors", "obstruction"}),
-        (["su2-restrict", "--rep", "V3+V1"], {"errors", "su2rep"}),
-        (["su2-realize", "--weights", "2,0"], {"errors", "su2rep"}),
-        (["catalog", "s2xs2", "--k", "2"], CATALOG),
-        (["catalog", "wg", "--n", "3", "--g", "2"], CATALOG),
-    ],
-    ids=lambda v: " ".join(v[:4]) if isinstance(v, list) else "",
-)
+# every subcommand's well-formed call, and the package modules it loads
+SUBCOMMAND_CALLS = [
+    (["sigma", "--class", "p1", "--weights", "1,2"], {"errors", "symalg"}),
+    (["localize", "--input", "{data}"], FILES),
+    (["localize", "--input", "{data}", "--class", "p1"], FILES),
+    (["pullback-su2", "--input", "{data}", "--i", "1"], FILES),
+    (["theorem-a", "--b", "9,18", FLAGS], {"errors", "obstruction"}),
+    (["adams", "--k", "3", "--b", "1,2"], {"errors", "obstruction"}),
+    (["adams", "--k", "3", "--b", "1,2", "--certify", FLAGS], {"errors", "obstruction"}),
+    (["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"],
+     {"errors", "obstruction"}),
+    (["su2-restrict", "--rep", "V3+V1"], {"errors", "su2rep"}),
+    (["su2-realize", "--weights", "2,0"], {"errors", "su2rep"}),
+    (["catalog", "s2xs2", "--k", "2"], CATALOG),
+    (["catalog", "wg", "--n", "3", "--g", "2"], CATALOG),
+]
+
+
+def call_id(value):
+    return " ".join(value[:4]) if isinstance(value, list) else ""
+
+
+@pytest.mark.parametrize("argv, expected", SUBCOMMAND_CALLS, ids=call_id)
 def test_subcommand_loads_only_its_modules(tmp_path, argv, expected):
     data = tmp_path / "data.json"
     data.write_text(json.dumps(DATA))
     assert probe([a.replace("{data}", str(data)) for a in argv]) == expected
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMAND_CALLS], ids=call_id)
+def test_well_formed_call_loads_no_argparse(tmp_path, argv):
+    # argparse, with the gettext and locale it loads, is for help and usage errors only
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(DATA))
+    argv = [a.replace("{data}", str(data)) for a in argv]
+    assert run_probe(STDLIB_PROBE, argv) & {"argparse", "gettext", "locale"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv, code, start",
+    [
+        (["theorem-a", "-h"], 0, "usage: kappa-forge theorem-a [-h]"),
+        # argparse takes --fl as --flags; the handler then refuses the value
+        (["theorem-a", "--b", "9,18", "--fl", "x"], 2, "error: unknown hypothesis flag 'x'"),
+    ],
+    ids=["help", "abbreviation"],
+)
+def test_help_and_abbreviations_still_reach_argparse(argv, code, start):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-S", "-m", "kappa_forge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert (proc.stdout + proc.stderr).startswith(start)
 
 
 @pytest.mark.parametrize(
