@@ -474,10 +474,10 @@ def read_argv(argv):
 
     Plain means: the exact subcommand, family and option names; each value
     as ``--opt value`` or ``--opt=value``, with no space-separated value
-    starting with ``-`` and no ``--opt=--``; int values that int() takes, a
-    listed ``--format`` and every required option.  Help, abbreviations,
-    ``--`` and every usage error are left to argparse, which this reading
-    never imports.
+    starting with ``-``; int values that int() takes, a listed ``--format``
+    and every required option.  ``--opt=--`` gives the value ``--``, as
+    argparse reads it from Python 3.13 on.  Help, abbreviations, ``--`` and
+    every usage error are left to argparse, which this reading never imports.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -505,8 +505,6 @@ def read_argv(argv):
                 return None
             given = [True]
         elif eq:
-            if value == "--":  # argparse before 3.13 drops it and stores []
-                return None
             given = [value]
         else:
             end = i
@@ -534,27 +532,46 @@ def build_parser():
     """The argparse parser of :data:`COMMANDS`, for help and usage errors."""
     import argparse
 
+    class Store(argparse.Action):
+        """Store the value, reading ``--opt=--`` as Python 3.13 does.
+
+        Before 3.13 argparse drops the explicit value ``--`` and hands the
+        action ``[]``.  3.13 refuses ``--`` as an int or a choice, with the
+        messages below, and stores it otherwise.
+        """
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                if self.type is int:
+                    raise argparse.ArgumentError(self, "invalid int value: '--'")
+                if self.choices:
+                    choices = ", ".join(map(repr, self.choices))
+                    message = f"invalid choice: '--' (choose from {choices})"
+                    raise argparse.ArgumentError(self, message)
+                values = ["--"] if self.nargs == "+" else "--"
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="kappa-forge",
         description="Exact kappa-class localization and the action obstruction test.",
     )
-    _add_commands(parser, "subcommand", COMMANDS)
+    _add_commands(parser, "subcommand", COMMANDS, Store)
     return parser
 
 
-def _add_commands(parser, dest, commands) -> None:
+def _add_commands(parser, dest, commands, store) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, entry in commands.items():
         p = sub.add_parser(name, help=entry[0])
         if len(entry) == 2:
-            _add_commands(p, "family", entry[1])
+            _add_commands(p, "family", entry[1], store)
             continue
         _, handler, options = entry
         for flag, dest, kind, required, nargs, help_text in (_FORMAT_OPTION, *options):
             if nargs == 0:
                 kwargs = {"action": "store_true"}
             else:
-                kwargs = {"required": required, "nargs": nargs}
+                kwargs = {"action": store, "required": required, "nargs": nargs}
             if kind is int:
                 kwargs["type"] = int
             elif isinstance(kind, tuple):

@@ -494,7 +494,8 @@ def write_fixed_point_file(
 
     Numbers are formatted under the int-string digit limit that
     :func:`read_fixed_point_file` parses under, so a file that could not be
-    read back is refused.
+    read back is refused.  A path that cannot be opened for writing raises
+    ParseError, as one that cannot be read does.
     """
     try:
         text = json.dumps(
@@ -505,8 +506,11 @@ def write_fixed_point_file(
             f"{path}: not written: a number in it would exceed the "
             f"{sys.get_int_max_str_digits()}-digit limit that reading the file enforces"
         ) from None
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write '{path}': {exc}") from None
 
 
 def kappa_class_label(c: CharClassMonomial) -> str:

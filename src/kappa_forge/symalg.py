@@ -55,9 +55,15 @@ class CharClassMonomial(Record):
     ``p_exponents[i-1]`` is the exponent of p_i.  Canonical form keeps the
     e-exponent in {0, 1}; :func:`reduce_monomial` folds each e^2 into p_n.
     Instances are immutable and compare structurally.
+
+    Each instance is analysed once, when it is built: the private slot
+    ``_factors`` holds its top p-index (0 if none) and its non-zero factors
+    as ``(i, k)`` pairs in increasing i, which is all the evaluation reads.
+    The slot is no field, so equality, hashing, ``repr``, copies and
+    pickles never see it; copies and pickles rebuild it.
     """
 
-    __slots__ = ("fiber_half_dim", "p_exponents", "e_exponent")
+    __slots__ = ("fiber_half_dim", "p_exponents", "e_exponent", "_factors")
     _defaults = (0,)
     fiber_half_dim: int
     p_exponents: tuple[int, ...]
@@ -78,6 +84,8 @@ class CharClassMonomial(Record):
         object.__setattr__(self, "fiber_half_dim", n)
         object.__setattr__(self, "p_exponents", exps)
         object.__setattr__(self, "e_exponent", e_exp)
+        factors = tuple((i, k) for i, k in enumerate(exps, start=1) if k)
+        object.__setattr__(self, "_factors", (factors[-1][0] if factors else 0, factors))
 
     @classmethod
     def one(cls, n: int) -> "CharClassMonomial":
@@ -143,10 +151,15 @@ def reduce_monomial(m: CharClassMonomial) -> CharClassMonomial:
 
 
 def _elementary_upto(top: int, values: Sequence[int]) -> list[int]:
-    """[sigma_0, ..., sigma_top] of ``values``: prod(1 + v*t) truncated at degree top."""
+    """[sigma_0, ..., sigma_top] of ``values``: prod(1 + v*t) truncated at degree top.
+
+    Before the m-th value (from 0) only sigma_0..sigma_m can be non-zero, so
+    the first ``top`` values update only those: up to top*(top-1)/2
+    multiply-adds of zeros fewer than a pass over the full range.
+    """
     coeffs = [1] + [0] * top
-    for v in values:
-        for j in range(top, 0, -1):
+    for m, v in enumerate(values):
+        for j in range(min(top, m + 1), 0, -1):
             coeffs[j] += v * coeffs[j - 1]
     return coeffs
 
@@ -165,15 +178,6 @@ def elementary_symmetric(i: int, values: Iterable[int]) -> int:
     return _elementary_upto(i, vals)[i]
 
 
-def _top_index(c: CharClassMonomial) -> int:
-    """Highest i with a non-zero exponent of p_i in ``c`` (0 if none)."""
-    exps = c.p_exponents
-    top = len(exps)
-    while top and not exps[top - 1]:
-        top -= 1
-    return top
-
-
 def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
     # a lower bound on the bit length of total * base**k: no value within the
     # limit is refused, and bases 0 and +-1 never count against it
@@ -183,14 +187,34 @@ def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
         )
 
 
+def _product(values: list[int]) -> int:
+    """The product of ``values`` as a balanced tree: big factors meet big factors."""
+    while len(values) > 1:
+        paired = [a * b for a, b in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0] if values else 1
+
+
 def _eval_from(c: CharClassMonomial, e: Sequence[int], euler: int) -> int:
-    """The monomial's value from sigma_i of the squares (``e``) and the weight product."""
-    total = 1
-    for i, k in enumerate(c.p_exponents, start=1):
-        if k:
-            if k > 1:
-                _check_power(c, total, e[i], k)
-            total *= e[i] ** k
+    """The monomial's value from sigma_i of the squares (``e``) and the weight product.
+
+    Only the non-zero factors are read.  Each run of exponent-1 factors is
+    multiplied as one balanced product and folded into ``total`` before the
+    next power, so every size check sees the product of all factors before it.
+    """
+    total, run = 1, []
+    for i, k in c._factors[1]:
+        if k == 1:
+            run.append(e[i])
+            continue
+        if run:
+            total, run = total * _product(run), []
+        _check_power(c, total, e[i], k)
+        total *= e[i] ** k
+    if run:
+        total *= _product(run)
     if c.e_exponent:
         if c.e_exponent > 1:
             _check_power(c, total, euler, c.e_exponent)
@@ -217,6 +241,9 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
     Every monomial's fiber dimension is checked against ``w`` first; then
     one truncated pass up to the largest p-index ``top`` among them gives
     every factor: O(n*top) big-integer multiply-adds in all, not per monomial.
+    Each monomial's top index and non-zero factors come from the analysis
+    made when it was built (:class:`CharClassMonomial`), so no call scans
+    its n exponents.
     """
     w = WeightVector.of(w)
     n = len(w.weights)
@@ -226,7 +253,7 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
             raise DomainError(
                 f"weight vector has {n} entries, monomial expects {c.fiber_half_dim}"
             )
-        top = max(top, _top_index(c))
+        top = max(top, c._factors[0])
         needs_euler = needs_euler or c.e_exponent > 0
     e = _elementary_upto(top, [a * a for a in w.weights])
     euler = prod(w.weights) if needs_euler else 1

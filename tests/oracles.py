@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import pytest
 
+from kappa_forge import symalg
 from kappa_forge.errors import (
     MAX_RESULT_ENTRIES,
     DomainError,
@@ -36,13 +37,7 @@ from kappa_forge.localization import (
     gamma_to_c2,
 )
 from kappa_forge.su2rep import RealRep, WeightMultiset
-from kappa_forge.symalg import (
-    CharClassMonomial,
-    WeightVector,
-    parse_class_monomial,
-    sigma_eval,
-    sigma_eval_many,
-)
+from kappa_forge.symalg import CharClassMonomial, WeightVector, parse_class_monomial
 
 if TYPE_CHECKING:
     from kappa_forge.symalg import WeightsLike
@@ -112,6 +107,70 @@ def signed_doubling_sigma(i: int, w: "WeightsLike") -> int:
         doubled.append(-a)
     total = sum(math.prod(combo) for combo in itertools.combinations(doubled, 2 * i))
     return (-1) ** i * total
+
+
+# ---------------------------------------------------------------------------
+# monomial evaluation that scans every exponent on every call
+# ---------------------------------------------------------------------------
+# The evaluation the package used before each monomial was analysed once when
+# built: the top index and the factors are found anew per weight row, every
+# value runs over the full truncated range, and factors multiply one at a
+# time.  Kept as the reference the analysed evaluation must agree with,
+# value for value and refusal for refusal; both refuse through the same
+# ``kappa_forge.symalg._check_power``.
+
+def top_index(c: CharClassMonomial) -> int:
+    """Highest i with a non-zero exponent of p_i in ``c`` (0 if none)."""
+    exps = c.p_exponents
+    top = len(exps)
+    while top and not exps[top - 1]:
+        top -= 1
+    return top
+
+
+def elementary_upto(top: int, values) -> list:
+    """[sigma_0, ..., sigma_top] of ``values``, every coefficient updated for every value."""
+    coeffs = [1] + [0] * top
+    for v in values:
+        for j in range(top, 0, -1):
+            coeffs[j] += v * coeffs[j - 1]
+    return coeffs
+
+
+def eval_from(c: CharClassMonomial, e, euler: int) -> int:
+    """The monomial's value, scanning all n exponents and multiplying one factor at a time."""
+    total = 1
+    for i, k in enumerate(c.p_exponents, start=1):
+        if k:
+            if k > 1:
+                symalg._check_power(c, total, e[i], k)
+            total *= e[i] ** k
+    if c.e_exponent:
+        if c.e_exponent > 1:
+            symalg._check_power(c, total, euler, c.e_exponent)
+        total *= euler ** c.e_exponent
+    return total
+
+
+def sigma_eval_many(monomials, w: "WeightsLike") -> list:
+    """Every monomial's value against ``w``, each analysed anew."""
+    w = WeightVector.of(w)
+    n = len(w.weights)
+    top, needs_euler = 0, False
+    for c in monomials:
+        if c.fiber_half_dim != n:
+            raise DomainError(
+                f"weight vector has {n} entries, monomial expects {c.fiber_half_dim}"
+            )
+        top = max(top, top_index(c))
+        needs_euler = needs_euler or c.e_exponent > 0
+    e = elementary_upto(top, [a * a for a in w.weights])
+    euler = math.prod(w.weights) if needs_euler else 1
+    return [eval_from(c, e, euler) for c in monomials]
+
+
+def sigma_eval(c: CharClassMonomial, w: "WeightsLike") -> int:
+    return sigma_eval_many((c,), w)[0]
 
 
 def gcd_power_of_two(values: Iterable[int]) -> bool:
@@ -335,7 +394,8 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
 # ---------------------------------------------------------------------------
 # The per-component loops the package used before it grouped components by
 # their row of absolute weights; kept as the reference the grouped sums must
-# agree with, value for value and error for error.
+# agree with, value for value and error for error.  They evaluate with the
+# reference above, so they check the analysed evaluation as well.
 
 def localize_circle(d: FixedPointData, c: CharClassMonomial) -> KappaValue:
     """Sum over fixed components of chi times the weight evaluation of c."""

@@ -1,0 +1,120 @@
+"""The evaluation from each monomial's one-time analysis, against the full scan.
+
+A ``CharClassMonomial`` keeps its top p-index and its non-zero factors in
+a private slot, filled when it is built; ``sigma_eval_many`` reads that
+slot, the truncated pass skips coefficients that are still zero, and runs
+of exponent-1 factors multiply as balanced products.  The reference in
+``oracles`` finds the factors anew on every call and multiplies one at a
+time.  The value limit is lowered to 256 bits here, so that refusals are
+common: a refused value must be refused with the same text, for the same
+first row and the same first monomial.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kappa_forge import symalg
+from kappa_forge.localization import C2, GAMMA, KappaValue, compare_expected, localize_circle
+from kappa_forge.symalg import CharClassMonomial, parse_class_monomial, sigma_eval, sigma_eval_many
+
+import oracles
+from test_one_pass import outcome
+from test_weight_rows import grouped_data
+
+SMALL_LIMIT = 256
+
+# 0 and +-1 leave bit lengths alone; 1000 and 2**40 push past the small limit
+WEIGHT = st.integers(-3, 3) | st.sampled_from([1000, -1000, 2**40])
+
+
+def weights(n):
+    return st.lists(WEIGHT, min_size=n, max_size=n)
+
+
+def monomials(n):
+    return st.builds(
+        CharClassMonomial,
+        st.just(n),
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.integers(0, 3),
+    )
+
+
+@st.composite
+def annotations(draw, n):
+    """0 to 4 classes, each on a generator its degree allows."""
+    out = []
+    for c in draw(st.lists(monomials(n), max_size=4)):
+        generator = C2 if c.degree % 4 == 0 and draw(st.booleans()) else GAMMA
+        power = c.degree // 4 if generator == C2 else c.degree // 2
+        out.append(KappaValue(c, Fraction(0), generator, power))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_sigma_eval_many_matches_the_full_scan(n, data):
+    w = data.draw(weights(n))
+    cs = data.draw(st.lists(monomials(n), max_size=5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symalg, "MAX_VALUE_BITS", SMALL_LIMIT)
+        assert outcome(sigma_eval_many, cs, w) == outcome(oracles.sigma_eval_many, cs, w)
+        for c in cs:
+            assert outcome(sigma_eval, c, w) == outcome(oracles.sigma_eval, c, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_localization_matches_the_full_scan(n, data):
+    d, expected = data.draw(grouped_data(n)), data.draw(annotations(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symalg, "MAX_VALUE_BITS", SMALL_LIMIT)
+        for ev in expected:
+            c = ev.class_monomial
+            assert outcome(localize_circle, d, c) == outcome(oracles.localize_circle, d, c)
+        assert outcome(compare_expected, d, expected) == outcome(
+            oracles.compare_expected, d, expected
+        )
+
+
+@pytest.mark.parametrize(
+    "text, w, refused",
+    [
+        # eight exponent-1 factors, 751 bits in all: only powers are checked
+        ("p1*p2*p3*p4*p5*p6*p7*p8", (1000,) * 8, False),
+        # p4^3 alone has 240 bits; the run p1*p2*p3 before it tips it over
+        ("p4^3", (1000,) * 4, False),
+        ("p1*p2*p3*p4^3", (1000,) * 4, True),
+        # e1 has 62 bits, e2 121 and the Euler product 61
+        ("p2^2", (2**30, 2**30), False),
+        ("p1*p2^2", (2**30, 2**30), True),
+        ("p1*e^3", (2**30, 2**30), False),
+        ("p1*p2*e^3", (2**30, 2**30), True),
+    ],
+)
+def test_runs_fold_in_before_each_checked_power(text, w, refused):
+    c = parse_class_monomial(text, len(w))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symalg, "MAX_VALUE_BITS", SMALL_LIMIT)
+        got = outcome(sigma_eval, c, w)
+        assert got == outcome(oracles.sigma_eval, c, w)
+    assert isinstance(got, tuple) == refused
+
+
+def test_analysis_slot_stays_out_of_sight():
+    c = CharClassMonomial(3, (2, 0, 1), 1)
+    assert c._factors == (3, ((1, 2), (3, 1)))
+    assert CharClassMonomial.one(4)._factors == (0, ())
+    assert CharClassMonomial.euler(4)._factors == (0, ())
+    oracles.check_frozen_record(
+        c, "CharClassMonomial(fiber_half_dim=3, p_exponents=(2, 0, 1), e_exponent=1)"
+    )
+    assert "_factors" not in CharClassMonomial._fields
+    for restored in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert restored._factors == c._factors
+        assert sigma_eval(restored, (1, 2, 3)) == sigma_eval(c, (1, 2, 3))

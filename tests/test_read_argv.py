@@ -150,7 +150,8 @@ def test_format_choices_and_flags_follow_argparse():
     assert read_argv(["theorem-a", "--b", "-6,12"]) is None
     assert read_argv(["theorem-a", "--b=-6,12"]).b == "-6,12"
     assert read_argv(["localize", "--input=a", "b"]) is None
-    assert read_argv(["su2-restrict", "--rep=--"]) is None  # argparse reads it as []
+    assert read_argv(["su2-restrict", "--rep=--"]).rep == "--"  # as argparse from 3.13 on
+    assert read_argv(["catalog", "s2xs2", "--k=--"]) is None
     assert read_argv(["localize", "--input", "a", "b"]).input == ["a", "b"]
     assert read_argv(["theorem-a", "--b", "1", "--fl", "x"]) is None
     assert read_argv([]) is None
