@@ -138,14 +138,22 @@ def _run_inputs(args, per_file) -> int:
     under :func:`_unlimited_int_digits`; ``prefix`` is "path: " when there
     are several files.  Validation notes go to stderr, one file
     emits its payload and several emit a list; any file not ok exits 1.
+
+    Each file's step runs with the cyclic collector paused, and the file's
+    data is dropped before it resumes: reference counting frees the rows,
+    so no collection walks them.
     """
+    from .localization import _gc_paused
+
     prefix_paths = len(args.input) > 1
     notes, payloads, lines, ok = [], [], [], True
     for path in args.input:
-        loaded, file_notes = _load_file(path)
-        payload, file_lines, file_ok = per_file(
-            path, loaded, f"{path}: " if prefix_paths else ""
-        )
+        with _gc_paused():
+            loaded, file_notes = _load_file(path)
+            payload, file_lines, file_ok = per_file(
+                path, loaded, f"{path}: " if prefix_paths else ""
+            )
+            del loaded
         notes.extend(file_notes)
         payloads.append(payload)
         lines.extend(file_lines)

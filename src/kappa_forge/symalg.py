@@ -49,6 +49,20 @@ class WeightVector(SequenceRecord):
         object.__setattr__(self, "weights", ws)
 
 
+def _half_dim(n) -> int:
+    n = strict_index(n)
+    if n < 1:
+        raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
+    return n
+
+
+def _analysed(n: int, exps: tuple[int, ...], e_exp: int) -> tuple:
+    """The slot values of a monomial, in ``__slots__`` order, from checked exponents."""
+    factors = tuple((i, k) for i, k in enumerate(exps, start=1) if k)
+    degree = 4 * sum(i * k for i, k in factors) + 2 * n * e_exp
+    return n, exps, e_exp, (factors[-1][0] if factors else 0, factors), degree
+
+
 class CharClassMonomial(Record):
     """A monomial p_1^{k_1} * ... * p_n^{k_n} * e^{m} for fiber dimension 2n.
 
@@ -58,21 +72,23 @@ class CharClassMonomial(Record):
 
     Each instance is analysed once, when it is built: the private slot
     ``_factors`` holds its top p-index (0 if none) and its non-zero factors
-    as ``(i, k)`` pairs in increasing i, which is all the evaluation reads.
-    The slot is no field, so equality, hashing, ``repr``, copies and
-    pickles never see it; copies and pickles rebuild it.
+    as ``(i, k)`` pairs in increasing i, which is all the evaluation reads,
+    and ``_degree`` its degree.  The slots are no fields, so equality,
+    hashing, ``repr``, copies and pickles never see them; copies and
+    pickles rebuild them.  The constructor checks every argument.
+    :meth:`one`, :meth:`euler`, :meth:`pontryagin`, ``*`` and
+    :func:`reduce_monomial` make their exponents from checked values and
+    build through :meth:`_checked`, which checks no exponent again.
     """
 
-    __slots__ = ("fiber_half_dim", "p_exponents", "e_exponent", "_factors")
+    __slots__ = ("fiber_half_dim", "p_exponents", "e_exponent", "_factors", "_degree")
     _defaults = (0,)
     fiber_half_dim: int
     p_exponents: tuple[int, ...]
     e_exponent: int
 
     def __post_init__(self):
-        n = strict_index(self.fiber_half_dim)
-        if n < 1:
-            raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
+        n = _half_dim(self.fiber_half_dim)
         exps = tuple(map(strict_index, self.p_exponents))
         if len(exps) != n:
             raise DomainError(
@@ -81,32 +97,36 @@ class CharClassMonomial(Record):
         e_exp = strict_index(self.e_exponent)
         if any(k < 0 for k in exps) or e_exp < 0:
             raise DomainError("class-monomial exponents must be non-negative")
-        object.__setattr__(self, "fiber_half_dim", n)
-        object.__setattr__(self, "p_exponents", exps)
-        object.__setattr__(self, "e_exponent", e_exp)
-        factors = tuple((i, k) for i, k in enumerate(exps, start=1) if k)
-        object.__setattr__(self, "_factors", (factors[-1][0] if factors else 0, factors))
+        for set_slot, value in zip(self._slot_setters, _analysed(n, exps, e_exp)):
+            set_slot(self, value)
+
+    @classmethod
+    def _checked(cls, n: int, exps: tuple[int, ...], e_exp: int) -> "CharClassMonomial":
+        """An instance of n non-negative plain-int exponents and ``e_exp``, without re-checking them."""
+        return cls._trusted(*_analysed(n, exps, e_exp))
 
     @classmethod
     def one(cls, n: int) -> "CharClassMonomial":
-        return cls(n, (0,) * n, 0)
+        n = _half_dim(n)
+        return cls._checked(n, (0,) * n, 0)
 
     @classmethod
     def pontryagin(cls, i: int, n: int) -> "CharClassMonomial":
         i = strict_index(i)
         if not 1 <= i <= n:
             raise DomainError(f"p{i} does not exist for fiber half-dimension {n}")
-        return cls(n, tuple(1 if j == i else 0 for j in range(1, n + 1)), 0)
+        n = _half_dim(n)
+        return cls._checked(n, (0,) * (i - 1) + (1,) + (0,) * (n - i), 0)
 
     @classmethod
     def euler(cls, n: int) -> "CharClassMonomial":
-        return cls(n, (0,) * n, 1)
+        n = _half_dim(n)
+        return cls._checked(n, (0,) * n, 1)
 
     @property
     def degree(self) -> int:
         """Cohomological degree: deg p_i = 4i, deg e = 2n."""
-        n = self.fiber_half_dim
-        return 4 * sum(i * k for i, k in enumerate(self.p_exponents, start=1)) + 2 * n * self.e_exponent
+        return self._degree
 
     @property
     def is_canonical(self) -> bool:
@@ -120,7 +140,7 @@ class CharClassMonomial(Record):
                 "cannot multiply monomials for fiber half-dimensions "
                 f"{self.fiber_half_dim} and {other.fiber_half_dim}"
             )
-        return CharClassMonomial(
+        return CharClassMonomial._checked(
             self.fiber_half_dim,
             tuple(a + b for a, b in zip(self.p_exponents, other.p_exponents)),
             self.e_exponent + other.e_exponent,
@@ -147,7 +167,7 @@ def reduce_monomial(m: CharClassMonomial) -> CharClassMonomial:
     pairs, rest = divmod(m.e_exponent, 2)
     exps = list(m.p_exponents)
     exps[-1] += pairs
-    return CharClassMonomial(m.fiber_half_dim, tuple(exps), rest)
+    return CharClassMonomial._checked(m.fiber_half_dim, tuple(exps), rest)
 
 
 def _elementary_upto(top: int, values: Sequence[int]) -> list[int]:

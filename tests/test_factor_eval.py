@@ -1,7 +1,8 @@
 """The evaluation from each monomial's one-time analysis, against the full scan.
 
 A ``CharClassMonomial`` keeps its top p-index and its non-zero factors in
-a private slot, filled when it is built; ``sigma_eval_many`` reads that
+a private slot, and its degree in another, filled when it is built (also by
+the builders that skip the per-exponent checks); ``sigma_eval_many`` reads that
 slot, the truncated pass skips coefficients that are still zero, and runs
 of exponent-1 factors multiply as balanced products.  The reference in
 ``oracles`` finds the factors anew on every call and multiplies one at a
@@ -19,8 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_forge import symalg
+from kappa_forge.errors import DomainError
 from kappa_forge.localization import C2, GAMMA, KappaValue, compare_expected, localize_circle
-from kappa_forge.symalg import CharClassMonomial, parse_class_monomial, sigma_eval, sigma_eval_many
+from kappa_forge.symalg import (
+    CharClassMonomial,
+    parse_class_monomial,
+    reduce_monomial,
+    sigma_eval,
+    sigma_eval_many,
+)
 
 import oracles
 from test_one_pass import outcome
@@ -118,3 +126,52 @@ def test_analysis_slot_stays_out_of_sight():
     for restored in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
         assert restored._factors == c._factors
         assert sigma_eval(restored, (1, 2, 3)) == sigma_eval(c, (1, 2, 3))
+
+
+def reference_degree(c):
+    return 4 * sum(i * k for i, k in enumerate(c.p_exponents, start=1)) + 2 * c.fiber_half_dim * c.e_exponent
+
+
+def assert_as_constructed(c):
+    """``c`` equals the constructor's monomial of its fields, private slots included."""
+    built = CharClassMonomial(c.fiber_half_dim, c.p_exponents, c.e_exponent)
+    assert type(c) is CharClassMonomial
+    assert c == built and hash(c) == hash(built) and repr(c) == repr(built)
+    assert type(c.fiber_half_dim) is int and type(c.e_exponent) is int
+    assert type(c.p_exponents) is tuple and all(type(k) is int for k in c.p_exponents)
+    assert c._factors == built._factors
+    assert c.degree == built.degree == reference_degree(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_builders_give_the_constructors_monomial(n, data):
+    a, b = data.draw(monomials(n)), data.draw(monomials(n))
+    i = data.draw(st.integers(1, n))
+    assert_as_constructed(a)
+    for c in (a * b, reduce_monomial(a), reduce_monomial(a * b),
+              CharClassMonomial.one(n), CharClassMonomial.euler(n),
+              CharClassMonomial.pontryagin(i, n)):
+        assert_as_constructed(c)
+    assert (a * b).degree == a.degree + b.degree
+    assert CharClassMonomial.pontryagin(i, n).degree == 4 * i
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CharClassMonomial.one(True),
+        lambda: CharClassMonomial.euler(True),
+        lambda: CharClassMonomial.pontryagin(1, True),
+        lambda: CharClassMonomial.one(2.0),
+    ],
+)
+def test_builders_check_the_half_dimension(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("build", [CharClassMonomial.one, CharClassMonomial.euler])
+def test_builders_refuse_a_half_dimension_below_one(build):
+    with pytest.raises(DomainError, match="fiber half-dimension must be >= 1, got 0"):
+        build(0)
