@@ -229,10 +229,15 @@ def _weight_rows(d: FixedPointData, signed: bool) -> Iterator[tuple[WeightVector
     of their product: ``signed_chi_sum`` sums chi * sign(prod w), sign 0 for a
     zero weight, and stays 0 unless ``signed``.  Rows come in order of first
     appearance, and a row whose sums cancel still comes: its value may raise.
+    Chi is first summed per raw row, which hashes as it is, so the sorted
+    key and the sign are made once per distinct raw row, not per component.
     """
+    raw_sums: dict[tuple[int, ...], int] = {}
+    for w, chi in zip(d._rows, d._chis):
+        raw_sums[w] = raw_sums.get(w, 0) + chi
     chi_sums: dict[tuple[int, ...], int] = {}
     signed_sums: dict[tuple[int, ...], int] = {}
-    for w, chi in zip(d._rows, d._chis):
+    for w, chi in raw_sums.items():
         row = tuple(sorted(map(abs, w)))
         chi_sums[row] = chi_sums.get(row, 0) + chi
         product = prod(w) if signed else 0
@@ -361,6 +366,25 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ParseError(f"unknown key '{clip(str(unknown[0]))}' in {where}")
 
 
+def _checked_component(raw, idx: int) -> tuple:
+    """Name, chi and weights of a component not of exact JSON shape, or ParseError.
+
+    The checks run in the order of the reference parser, so the first to
+    fail names the problem; an int subclass comes back as a plain int.
+    """
+    where = f"components[{idx}]"
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where} must be an object")
+    _reject_unknown(raw, _COMPONENT_KEYS, where)
+    name, euler_char, weights = raw.get("name"), raw.get("euler_char"), raw.get("weights")
+    if not isinstance(name, str):
+        raise ParseError(f"{where}: 'name' must be a string")
+    euler_char = strict_index(_plain_int(euler_char, f"{where}: 'euler_char'"))
+    if not isinstance(weights, list) or not weights:
+        raise ParseError(f"{where}: 'weights' must be a non-empty array")
+    return name, euler_char, [strict_index(_plain_int(a, f"{where}: weight")) for a in weights]
+
+
 def parse_fixed_point_payload(obj) -> FixedPointFile:
     """Validate a decoded JSON object against the fixed-point file schema."""
     if not isinstance(obj, dict):
@@ -381,23 +405,22 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
         raise ParseError("'components' must be an array")
     names, chis, rows = [], [], []
     for idx, raw in enumerate(raw_components):
-        # the first check to fail names the problem; exact JSON types pass
-        # each with one test, and an int subclass is stored as a plain int
-        if not isinstance(raw, dict):
-            raise ParseError(f"components[{idx}] must be an object")
-        if not raw.keys() <= _COMPONENT_KEYS:
-            _reject_unknown(raw, _COMPONENT_KEYS, f"components[{idx}]")
-        name, euler_char, weights = raw.get("name"), raw.get("euler_char"), raw.get("weights")
-        if not isinstance(name, str):
-            raise ParseError(f"components[{idx}]: 'name' must be a string")
-        if type(euler_char) is not int:
-            euler_char = strict_index(_plain_int(euler_char, f"components[{idx}]: 'euler_char'"))
-        if not isinstance(weights, list) or not weights:
-            raise ParseError(f"components[{idx}]: 'weights' must be a non-empty array")
-        for a in weights:
-            if type(a) is not int:
-                weights = [strict_index(_plain_int(a, f"components[{idx}]: weight")) for a in weights]
-                break
+        # exact JSON shape passes one test: a dict of three keys whose values
+        # have the schema's types has exactly the schema's keys
+        if (
+            type(raw) is dict
+            and len(raw) == 3
+            and type(name := raw.get("name")) is str
+            and type(euler_char := raw.get("euler_char")) is int
+            and type(weights := raw.get("weights")) is list
+            and weights
+        ):
+            for a in weights:
+                if type(a) is not int:
+                    name, euler_char, weights = _checked_component(raw, idx)
+                    break
+        else:
+            name, euler_char, weights = _checked_component(raw, idx)
         names.append(name)
         chis.append(euler_char)
         rows.append(tuple(weights))

@@ -287,10 +287,11 @@ def parse_class_monomial(text: str, n: int) -> CharClassMonomial:
     """Parse the monomial syntax ``e``, ``p1``, ``p2^3``, ``e*p1^2``.
 
     Whitespace-insensitive and case-insensitive; ``1`` names the empty
-    monomial.  Indices above n and negative exponents are rejected.
+    monomial.  Indices above n and negative exponents are rejected.  ``n``
+    is checked first, so a bad ``n`` raises before bad text does; the
+    exponents are parsed non-negative ints and are not checked again.
     """
-    if n < 1:
-        raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
+    n = _half_dim(n)
     s = re.sub(r"\s+", "", text).lower()
     if not s:
         raise ParseError("empty class monomial")
@@ -320,4 +321,4 @@ def parse_class_monomial(text: str, n: int) -> CharClassMonomial:
             raise ParseError(
                 f"class index p{idx} outside 1..{n} for fiber half-dimension {n}"
             )
-    return CharClassMonomial(n, tuple(p_exp), e_exp)
+    return CharClassMonomial._checked(n, tuple(p_exp), e_exp)

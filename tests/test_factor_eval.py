@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_forge import symalg
-from kappa_forge.errors import DomainError
+from kappa_forge.errors import DomainError, ParseError
 from kappa_forge.localization import C2, GAMMA, KappaValue, compare_expected, localize_circle
 from kappa_forge.symalg import (
     CharClassMonomial,
@@ -155,6 +155,50 @@ def test_builders_give_the_constructors_monomial(n, data):
         assert_as_constructed(c)
     assert (a * b).degree == a.degree + b.degree
     assert CharClassMonomial.pontryagin(i, n).degree == 4 * i
+
+
+@st.composite
+def monomial_texts(draw, n):
+    """The text of a drawn monomial, its exponents split into factors, shuffled, spaced and cased."""
+    exps = draw(st.tuples(*[st.integers(0, 3)] * n))
+    e_exp = draw(st.integers(0, 3))
+    factors = []
+    for name, k in [("e", e_exp), *((f"p{i}", k) for i, k in enumerate(exps, start=1))]:
+        while k:
+            part = draw(st.integers(1, k))
+            factors.append(name if part == 1 and draw(st.booleans()) else f"{name}^{part}")
+            k -= part
+        if draw(st.integers(0, 4)) == 0:
+            factors.append(f"{name}^0")
+    text = draw(st.sampled_from(["*", " * ", "*\t"])).join(draw(st.permutations(factors))) or "1"
+    return (text.upper() if draw(st.booleans()) else text), exps, e_exp
+
+
+BAD_FACTORS = st.sampled_from(["q1", "p0", "p1^-1", "", "p", "e^", "p1^2^2", "pp1", "١"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_parsed_monomial_is_the_constructors(n, data):
+    text, exps, e_exp = data.draw(monomial_texts(n))
+    parsed = parse_class_monomial(text, n)
+    assert parsed == CharClassMonomial(n, exps, e_exp)
+    assert_as_constructed(parsed)
+    assert parsed._degree == reference_degree(parsed)
+    bad = data.draw(BAD_FACTORS | st.just(f"p{n + 1}"))
+    factors = text.split("*")
+    factors.insert(data.draw(st.integers(0, len(factors))), bad)
+    with pytest.raises(ParseError):
+        parse_class_monomial("*".join(factors), n)
+
+
+@pytest.mark.parametrize("text", ["p1", "1", "e*p1", "q1", "", "p1^-1", "p3"])
+@pytest.mark.parametrize(
+    "n, error", [(0, DomainError), (-2, DomainError), (True, TypeError), (2.0, TypeError), ("2", TypeError)]
+)
+def test_parse_checks_the_half_dimension_before_the_text(text, n, error):
+    with pytest.raises(error):
+        parse_class_monomial(text, n)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappa_forge import cli, localization
-from kappa_forge.errors import DomainError
+from kappa_forge.errors import DomainError, ParseError
 from kappa_forge.localization import (
     GAMMA,
     FixedComponent,
@@ -193,6 +193,39 @@ def test_lean_parser_matches_reference_on_mutated_payloads(payload):
 def test_lean_parser_matches_reference_after_good_components(broken):
     good = {"name": "g", "euler_char": 1, "weights": [1, 2]}
     assert_same_parse({"fiber_half_dim": 2, "components": [good, good, broken, good]})
+
+
+GOOD = {"name": "g", "euler_char": 1, "weights": [1, 2]}
+
+# every way a component can miss the one-test exact JSON shape and still reach
+# the full checks: the valid ones must come out as the reference stores them,
+# the invalid ones with its message and index
+EXACT_SHAPE_MISSES = {
+    "dict subclass": DictSub(name="a", euler_char=1, weights=[1, 2]),
+    "three keys, one unknown": {"name": "a", "euler_char": 1, "chi": [1, 2]},
+    "three keys, weights missing": {"name": "a", "euler_char": 1, "Weights": [1, 2]},
+    "four keys": {"name": "a", "euler_char": 1, "weights": [1, 2], "extra": 0},
+    "bool euler_char": {"name": "a", "euler_char": True, "weights": [1, 2]},
+    "IntSub euler_char": {"name": "a", "euler_char": IntSub(-2), "weights": [1, 2]},
+    "StrSub name": {"name": StrSub("a"), "euler_char": 1, "weights": [1, 2]},
+    "ListSub weights": {"name": "a", "euler_char": 1, "weights": ListSub([1, 2])},
+    "IntSub weight": {"name": "a", "euler_char": 1, "weights": [1, IntSub(2)]},
+    "bool weight after ints": {"name": "a", "euler_char": 1, "weights": [1, 2, False]},
+    "empty weights": {"name": "a", "euler_char": 1, "weights": []},
+    "two keys": {"name": "a", "weights": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("broken", EXACT_SHAPE_MISSES.values(), ids=EXACT_SHAPE_MISSES.keys())
+def test_exact_shape_misses_take_the_full_checks_after_many_good(broken):
+    payload = {"fiber_half_dim": 2, "components": [GOOD] * 1000 + [broken, GOOD]}
+    assert_same_parse(payload)
+    result = outcome(parse_fixed_point_payload, copy.deepcopy(payload))
+    if isinstance(result, tuple):
+        assert result[0] is ParseError and "components[1000]" in result[1]
+    else:
+        assert len(result.data._rows) == 1002
+        assert result.data._rows[1000] == tuple(broken["weights"])
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,56 @@ def test_one_component_file_still_reaches_the_evaluators(monkeypatch, tmp_path, 
     assert len(single) == 1
 
 
+def raw_repeats_data():
+    """Raw rows that repeat: (1, 2) sums to chi 0 on its own, while (-2, 1) and
+    (2, 1) share its row of absolute weights with the opposite and the same sign."""
+    weights = [(1, 2), (-2, 1), (1, 2), (0, 3), (2, 1), (1, 2), (-2, 1), (3, 0), (0, 3), (-3, 0)]
+    chis = [2, 3, -1, 1, -3, -1, 1, 2, -1, -2]
+    comps = tuple(FixedComponent(f"x{j}", chi, w) for j, (chi, w) in enumerate(zip(chis, weights)))
+    return FixedPointData(2, comps, sum(chis))
+
+
+def test_sorted_key_is_built_once_per_distinct_raw_row(monkeypatch):
+    calls = []
+
+    def counting_sorted(values, **kwargs):
+        calls.append(1)
+        return sorted(values, **kwargs)
+
+    monkeypatch.setattr(localization, "sorted", counting_sorted, raising=False)
+    for d in (raw_repeats_data(), reparsed(raw_repeats_data())):
+        assert len(d.components) == 10 and len(set(d._rows)) == 6 and len(distinct_rows(d)) == 2
+        for signed in (False, True):
+            calls.clear()
+            rows = list(localization._weight_rows(d, signed))
+            assert len(calls) == 6
+            assert [row for row, _, _ in rows] == [WeightVector((1, 2)), WeightVector((0, 3))]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        CharClassMonomial.pontryagin(1, 2),
+        CharClassMonomial.pontryagin(2, 2),
+        CharClassMonomial.euler(2),
+        CharClassMonomial(2, (1, 0), 1),
+        CharClassMonomial(2, (0, 0), 3),
+        CharClassMonomial(2, (BIG, 0), 0),
+        CharClassMonomial(2, (0, 0), BIG + 1),
+    ],
+    ids=str,
+)
+def test_raw_rows_that_cancel_or_differ_in_sign_match_the_per_component_sum(c):
+    d = raw_repeats_data()
+    reference = outcome(oracles.localize_circle, d, c)
+    assert outcome(localize_circle, d, c) == outcome(localize_circle, reparsed(d), c) == reference
+    generator = C2 if c.degree % 4 == 0 else GAMMA
+    expected = [KappaValue(c, 0, generator, c.degree // (4 if generator == C2 else 2))]
+    reference = outcome(oracles.compare_expected, d, expected)
+    assert outcome(compare_expected, d, expected) == reference
+    assert outcome(compare_expected, reparsed(d), expected) == reference
+
+
 @pytest.mark.parametrize("e_exponent", [0, 1])
 def test_oversized_row_raises_though_its_chi_sums_cancel(e_exponent):
     # chi sum 1 - 1 = 0 and signed chi sum 1*(+1) + (-1)*(+1) = 0 on the row (1, 2)
