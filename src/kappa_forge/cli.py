@@ -24,11 +24,16 @@ theorem-a, adams and betti never import localization or symalg.  A
 well-formed argv is read straight from the option table (COMMANDS);
 argparse, with the gettext and locale it loads, is imported only to print
 help or a usage error.
+
+A process enters through :func:`run` (the ``kappa-forge`` script and
+``python -m kappa_forge.cli``); :func:`main` is the call for tests and
+library callers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -608,5 +613,44 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry: :func:`main` on ``sys.argv``, a flush of stdout, then exit.
+
+    On every way out (a return, argparse's ``SystemExit``, a traceback)
+    ``gc.freeze()`` moves every tracked object into the collector's
+    permanent generation just before the interpreter finalizes, so the
+    collections that finalization runs, even with the collector disabled,
+    skip them; the operating system takes the memory back at exit.  What
+    the freeze gives up: garbage in reference cycles still alive at exit is
+    never collected, so its ``__del__`` methods do not run.  Every file a
+    handler writes is closed by its ``with`` block, and stdout is flushed
+    before the freeze.  :func:`main` never freezes, so tests and library
+    callers keep a working collector.
+
+    The handlers turn the ``OSError`` of every file they open into a
+    ``ParseError``, so one that reaches here comes from writing the output
+    (a closed pipe, a full disk): it ends in one ``error: cannot write
+    output`` line on stderr and exit 1, with stdout pointed at the null
+    device so that the interpreter's last flush stays silent.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse, after help or a usage error
+            code = exc.code
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        code = 1
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
