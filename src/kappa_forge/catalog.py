@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _MODULE_EXPORTS
-from .errors import MAX_RESULT_ENTRIES, DomainError, Record, strict_index
+from .errors import MAX_RESULT_ENTRIES, DomainError, Record, over_limit, strict_index
 from .localization import (
     C2,
     GAMMA,
@@ -194,9 +194,7 @@ def wg_hypothesis_report(n: int, g: int) -> WgHypothesisReport:
     if g < 1:
         raise DomainError(f"g must be >= 1, got {g}")
     if 2 * n + 1 > MAX_RESULT_ENTRIES:
-        raise DomainError(
-            f"the Betti table would exceed the limit of {MAX_RESULT_ENTRIES} entries"
-        )
+        raise over_limit("the Betti table", MAX_RESULT_ENTRIES, "entries")
     chi = connected_sum_euler(0, g, 2 * n)
     betti = [0] * (2 * n + 1)
     betti[0] = betti[2 * n] = 1

@@ -32,13 +32,12 @@ library callers.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import os
 import sys
 from types import SimpleNamespace
 
-from .errors import DomainError, ParseError, bounded_fraction, clip, parse_weight_list
+from .errors import DomainError, ParseError, bounded_fraction, clip, parse_weight_list, unlimited_int_digits
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
 
@@ -51,26 +50,6 @@ _FLAG_TOKENS = {
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift the int-to-str digit limit while a computed result is formatted and printed.
-
-    Exact answers can run past the interpreter's default of 4,300 digits.
-    Input is never parsed inside this block, so an over-long number on the
-    command line or in a file stays a parse error.  A no-op on interpreters
-    without the limit (before Python 3.10.7).
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 def _emit(args, payload, lines) -> None:
@@ -140,7 +119,7 @@ def _run_inputs(args, per_file) -> int:
     """Run ``per_file(path, loaded, prefix)`` on each --input file, in order.
 
     ``per_file`` returns (payload, text lines, ok), formatting its numbers
-    under :func:`_unlimited_int_digits`; ``prefix`` is "path: " when there
+    under :func:`unlimited_int_digits`; ``prefix`` is "path: " when there
     are several files.  Validation notes go to stderr, one file
     emits its payload and several emit a list; any file not ok exits 1.
 
@@ -185,7 +164,7 @@ def cmd_sigma(args) -> int:
         "sigma": value,
         "weights": weights,
     }
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         _emit(args, payload, [str(value)])
     return 0
 
@@ -200,7 +179,7 @@ def cmd_localize(args) -> int:
             monomial = parse_class_monomial(args.cls, n)
             kv = localize_circle(loaded.data, monomial)
             label = kappa_class_label(monomial)
-            with _unlimited_int_digits():
+            with unlimited_int_digits():
                 payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
                 lines = [prefix + _kappa_text(label, kv)]
             return payload, lines, True
@@ -212,7 +191,7 @@ def cmd_localize(args) -> int:
         comparisons = compare_expected(loaded.data, loaded.expected)
         results = []
         lines = []
-        with _unlimited_int_digits():
+        with unlimited_int_digits():
             for comp in comparisons:
                 label = kappa_class_label(comp.expected.class_monomial)
                 status = "ok" if comp.matches else "MISMATCH"
@@ -244,7 +223,7 @@ def cmd_pullback_su2(args) -> int:
     def per_file(path, loaded, prefix):
         kv, b_i = pullback_su2(loaded.data, args.i)
         label = kappa_class_label(kv.class_monomial)
-        with _unlimited_int_digits():
+        with unlimited_int_digits():
             payload = {
                 **kv.to_json_dict(),
                 "b_i": str(b_i),
@@ -285,7 +264,7 @@ def cmd_adams(args) -> int:
     b = BVector.of(_parse_fraction_list(args.b))
     if not args.certify:
         transformed = adams_transform(args.k, b)
-        with _unlimited_int_digits():
+        with unlimited_int_digits():
             payload = {
                 "b": [str(x) for x in b],
                 "b_transformed": [str(x) for x in transformed],
@@ -295,7 +274,7 @@ def cmd_adams(args) -> int:
         return 0
     flags = _parse_flags(args.flags)
     result = nonkinetic_certificate(b, args.k, flags)
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         if isinstance(result, Certificate):
             lines = [
                 "certificate: non-kinetic",
@@ -366,7 +345,7 @@ def cmd_catalog_s2xs2(args) -> int:
 
     entry = s2xs2_family(args.k)
     if args.out is None:
-        with _unlimited_int_digits():
+        with unlimited_int_digits():
             print(json.dumps(entry.to_payload(), indent=2, sort_keys=True))
         return 0
     # written under the digit limit, so localize --input reads it back and
@@ -392,7 +371,7 @@ def cmd_catalog_wg(args) -> int:
     payload = {name: getattr(report, name) for name in report._fields}
     payload["hypotheses"] = report.hypotheses.to_json_dict()
     # 2g and 2 - 2g have one digit more than g
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         betti_text = ",".join(str(x) for x in report.betti)
         lines = [
             f"{report.manifold} (dimension {2 * report.n})",
@@ -641,8 +620,10 @@ def run() -> None:
         if sys.stdout is not None:  # None when the process started with stdout closed
             sys.stdout.flush()
     except OSError as exc:
-        with contextlib.suppress(OSError):
+        try:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
         os.close(devnull)

@@ -163,6 +163,41 @@ class ParseError(KappaForgeError):
     """Malformed textual input: class monomials, weight lists, data files."""
 
 
+def over_limit(what: str, limit: int, unit: str) -> DomainError:
+    """The refusal of a result ``what`` past ``limit`` ``unit``, once the caller has compared."""
+    return DomainError(f"{what} would exceed the limit of {limit} {unit}")
+
+
+def int_digit_limit(default=4300):
+    """The int-string digit limit, or ``default`` if lifted (0) or absent (before Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or default
+
+
+def over_digit_limit(what: str) -> ParseError:
+    """The refusal of input ``what`` (its quoted text and a verb) over the digit limit."""
+    return ParseError(f"{what} over the {int_digit_limit()}-digit limit")
+
+
+class unlimited_int_digits:
+    """Lift the int-to-str digit limit in a ``with`` block, so computed results print in full.
+
+    Input is never parsed inside such a block, so an over-long number stays
+    a parse error.  The previous limit comes back on exit, exception or not.
+    A no-op where no limit is in force.
+    """
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self) -> None:
+        self._previous = int_digit_limit(None)
+        if self._previous:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info) -> None:
+        if self._previous:
+            sys.set_int_max_str_digits(self._previous)
+
+
 def clip(token: str) -> str:
     """``token`` as an error message quotes it: its first 20 characters, then ``...`` if cut."""
     return token if len(token) <= 20 else f"{token[:20]}..."
@@ -184,7 +219,7 @@ def bounded_fraction(text: str):
     import re
     from fractions import Fraction
 
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = int_digit_limit()
     m = re.match(_EXPONENT, text.strip())  # Fraction ignores surrounding whitespace
     try:
         huge_exponent = m and abs(int(m.group(2))) > limit + len(m.group(1))
@@ -202,10 +237,7 @@ def bounded_fraction(text: str):
         # 2**(3*limit) < 10**limit: only a longer value needs that power built
         over = value != 0 if huge_exponent else top.bit_length() > 3 * limit and top >= 10**limit
     if over:  # a short exponent form stands for a long number too, so '...' always follows
-        raise ParseError(
-            f"rational '{text[:20]}...' has a numerator or denominator over the "
-            f"{limit}-digit limit"
-        )
+        raise over_digit_limit(f"rational '{text[:20]}...' has a numerator or denominator")
     return value
 
 
@@ -236,9 +268,6 @@ def parse_weight_list(text: str) -> list[int]:
         except ValueError:
             digits = token[1:] if token[:1] in "+-" else token
             if digits.isdecimal():  # int refuses decimal digits only past the digit limit
-                raise ParseError(
-                    f"bad weight '{clip(token)}' is over the "
-                    f"{sys.get_int_max_str_digits()}-digit limit"
-                ) from None
+                raise over_digit_limit(f"bad weight '{clip(token)}' is") from None
             raise ParseError(f"bad weight '{clip(token)}'") from None
     return out

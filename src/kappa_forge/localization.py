@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import gc
 import json
-import sys
 from math import prod
 
 from . import _MODULE_EXPORTS
-from .errors import MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, exact_rational, strict_index
+from .errors import (
+    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, exact_rational, int_digit_limit, strict_index,
+)
 from .symalg import (
     CharClassMonomial,
     WeightVector,
@@ -555,7 +556,7 @@ def write_fixed_point_file(
     except ValueError:  # int-to-str conversion past the digit limit
         raise DomainError(
             f"{path}: not written: a number in it would exceed the "
-            f"{sys.get_int_max_str_digits()}-digit limit that reading the file enforces"
+            f"{int_digit_limit()}-digit limit that reading the file enforces"
         ) from None
     try:
         with open(path, "w", encoding="utf-8") as handle:

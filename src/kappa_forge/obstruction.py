@@ -26,7 +26,7 @@ import itertools
 import math
 
 from . import _MODULE_EXPORTS
-from .errors import MAX_VALUE_BITS, DomainError, Record, SequenceRecord, exact_rational, strict_index
+from .errors import MAX_VALUE_BITS, DomainError, Record, SequenceRecord, exact_rational, over_limit, strict_index
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
@@ -406,10 +406,7 @@ def adams_transform(k: int, b: BVector) -> BVector:
         if x
     )
     if bits > MAX_VALUE_BITS:
-        raise DomainError(
-            "the k^(2i)-rescaled b-vector would exceed the limit of "
-            f"{MAX_VALUE_BITS} bits"
-        )
+        raise over_limit("the k^(2i)-rescaled b-vector", MAX_VALUE_BITS, "bits")
     return BVector(
         tuple(x * k ** (2 * i) if x else x for i, x in enumerate(b.entries, start=1))
     )

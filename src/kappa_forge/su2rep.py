@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import itertools
 import re
-import sys
 from collections import Counter
 
 from . import _MODULE_EXPORTS
 from .errors import (
-    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, SequenceRecord, clip, parse_weight_list, strict_index,
+    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, SequenceRecord, clip, over_digit_limit, over_limit,
+    parse_weight_list, strict_index,
 )
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
@@ -112,10 +112,7 @@ def restrict_to_torus(rep: RealRep) -> WeightMultiset:
     """
     total = rep.total_dim
     if total // 2 > MAX_RESULT_ENTRIES:
-        raise DomainError(
-            "the torus restriction would exceed the limit of "
-            f"{MAX_RESULT_ENTRIES} planes"
-        )
+        raise over_limit("the torus restriction", MAX_RESULT_ENTRIES, "planes")
     if total % 2:
         raise DomainError(
             f"total dimension {total} is odd: one trivial "
@@ -177,10 +174,7 @@ def parse_real_rep(text: str) -> RealRep:
             mult = int(m.group(1)) if m.group(1) else 1
             dim = int(m.group(2))
         except ValueError:  # only digits get here: over the int-string digit limit
-            raise ParseError(
-                f"representation term '{clip(term)}' has a number over the "
-                f"{sys.get_int_max_str_digits()}-digit limit"
-            ) from None
+            raise over_digit_limit(f"representation term '{clip(term)}' has a number") from None
         if mult < 1:
             raise ParseError(f"multiplicity must be >= 1 in '{clip(term)}'")
         terms.append((dim, mult))

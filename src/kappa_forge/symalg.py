@@ -21,11 +21,13 @@ and sigma_i of squared weights overflows 64 bits already for modest input.
 from __future__ import annotations
 
 import re
-import sys
 from math import prod
 
 from . import _MODULE_EXPORTS
-from .errors import MAX_VALUE_BITS, DomainError, ParseError, Record, SequenceRecord, clip, strict_index
+from .errors import (
+    MAX_VALUE_BITS, DomainError, ParseError, Record, SequenceRecord, clip, over_digit_limit, over_limit,
+    strict_index,
+)
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
@@ -202,9 +204,7 @@ def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
     # a lower bound on the bit length of total * base**k: no value within the
     # limit is refused, and bases 0 and +-1 never count against it
     if total.bit_length() + k * (abs(base).bit_length() - 1) > MAX_VALUE_BITS:
-        raise DomainError(
-            f"the value of {c} would exceed the limit of {MAX_VALUE_BITS} bits"
-        )
+        raise over_limit(f"the value of {c}", MAX_VALUE_BITS, "bits")
 
 
 def _product(values: list[int]) -> int:
@@ -307,10 +307,7 @@ def parse_class_monomial(text: str, n: int) -> CharClassMonomial:
             exp = 1 if m.group(3) is None else int(m.group(3))
             idx = None if m.group(2) is None else int(m.group(2))
         except ValueError:  # only digits get here: over the int-string digit limit
-            raise ParseError(
-                f"class factor '{clip(factor)}' has a number over the "
-                f"{sys.get_int_max_str_digits()}-digit limit"
-            ) from None
+            raise over_digit_limit(f"class factor '{clip(factor)}' has a number") from None
         if exp < 0:
             raise ParseError(f"negative exponent in '{clip(factor)}'")
         if idx is None:
