@@ -543,7 +543,17 @@ def build_parser():
                 values = ["--"] if self.nargs == "+" else "--"
             setattr(namespace, self.dest, values)
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # argparse drops a failed write from Python 3.11 on, so help into a closed pipe
+        # would exit 0 unsaid: a write to stdout lets its error go on to run, and one to
+        # stderr keeps a usage error's exit 2.  Subparsers take this class too.
+        def _print_message(self, message, file=None):
+            if message and file is not None and file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    parser = Parser(
         prog="kappa-forge",
         description="Exact kappa-class localization and the action obstruction test.",
     )

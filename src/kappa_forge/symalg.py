@@ -202,42 +202,55 @@ def elementary_symmetric(i: int, values: Iterable[int]) -> int:
 
 def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
     # a lower bound on the bit length of total * base**k: no value within the
-    # limit is refused, and bases 0 and +-1 never count against it
+    # limit is refused, and bases +-1 never count against it
     if total.bit_length() + k * (abs(base).bit_length() - 1) > MAX_VALUE_BITS:
         raise over_limit(f"the value of {c}", MAX_VALUE_BITS, "bits")
 
 
-def _product(values: list[int]) -> int:
-    """The product of ``values`` as a balanced tree: big factors meet big factors."""
-    while len(values) > 1:
-        paired = [a * b for a, b in zip(values[::2], values[1::2])]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return values[0] if values else 1
+def _times_run(c: CharClassMonomial, total: int, run: list[int], bits: int) -> int:
+    """``total`` times the product of ``run``, built as a balanced tree: big factors meet big factors.
+
+    ``bits``, the bit length of ``total`` plus that of each factor less one,
+    is a lower bound on the result's bit length; past the limit the value is
+    refused before any factor is multiplied.
+    """
+    if bits > MAX_VALUE_BITS:
+        raise over_limit(f"the value of {c}", MAX_VALUE_BITS, "bits")
+    while len(run) > 1:
+        paired = [a * b for a, b in zip(run[::2], run[1::2])]
+        if len(run) % 2:
+            paired.append(run[-1])
+        run = paired
+    return total * run[0]
 
 
 def _eval_from(c: CharClassMonomial, e: Sequence[int], euler: int) -> int:
     """The monomial's value from sigma_i of the squares (``e``) and the weight product.
 
-    Only the non-zero factors are read.  Each run of exponent-1 factors is
-    multiplied as one balanced product and folded into ``total`` before the
-    next power, so every size check sees the product of all factors before it.
+    A factor 0 makes the value 0, which no check refuses; e_i is 0 from some
+    index on, so ``e[top]`` tells.  Only the non-zero factors are read.  Each
+    run of exponent-1 factors is checked and multiplied as one balanced
+    product and folded into ``total`` before the next power, so every size
+    check sees the product of all factors before it.
     """
-    total, run = 1, []
-    for i, k in c._factors[1]:
+    top, factors = c._factors
+    if not e[top] or (c.e_exponent and not euler):
+        return 0
+    total, run, bits = 1, [], 1
+    for i, k in factors:
         if k == 1:
             run.append(e[i])
+            bits += e[i].bit_length() - 1
             continue
         if run:
-            total, run = total * _product(run), []
+            total, run = _times_run(c, total, run, bits), []
         _check_power(c, total, e[i], k)
         total *= e[i] ** k
+        bits = total.bit_length()
     if run:
-        total *= _product(run)
+        total = _times_run(c, total, run, bits)
     if c.e_exponent:
-        if c.e_exponent > 1:
-            _check_power(c, total, euler, c.e_exponent)
+        _check_power(c, total, euler, c.e_exponent)
         total *= euler ** c.e_exponent
     return total
 

@@ -116,8 +116,9 @@ def signed_doubling_sigma(i: int, w: "WeightsLike") -> int:
 # built: the top index and the factors are found anew per weight row, every
 # value runs over the full truncated range, and factors multiply one at a
 # time.  Kept as the reference the analysed evaluation must agree with,
-# value for value and refusal for refusal; both refuse through the same
-# ``kappa_forge.symalg._check_power``.
+# value for value and refusal for refusal.  It applies the value limit by
+# its rule, read from ``symalg.MAX_VALUE_BITS`` but with no check of the
+# package, so a wrong check there shows as a difference.
 
 def top_index(c: CharClassMonomial) -> int:
     """Highest i with a non-zero exponent of p_i in ``c`` (0 if none)."""
@@ -138,16 +139,40 @@ def elementary_upto(top: int, values) -> list:
 
 
 def eval_from(c: CharClassMonomial, e, euler: int) -> int:
-    """The monomial's value, scanning all n exponents and multiplying one factor at a time."""
-    total = 1
-    for i, k in enumerate(c.p_exponents, start=1):
-        if k:
-            if k > 1:
-                symalg._check_power(c, total, e[i], k)
-            total *= e[i] ** k
+    """The monomial's value, scanning all n exponents and multiplying one factor at a time.
+
+    The value limit's rule: a factor 0 gives 0, never refused.  Otherwise
+    the value is refused when, for a power p_i^k with k > 1 or e^k with
+    k >= 1, the bit length of the product before it plus k*(bits(base) - 1)
+    passes the limit, or, for a run of exponent-1 p-factors (exponents 0
+    between them do not end it), the bit length of the product before the
+    run plus bits(e_i) - 1 for each of its factors does.
+    """
+    exps = c.p_exponents
+    if any(k and not e[i] for i, k in enumerate(exps, start=1)) or (c.e_exponent and not euler):
+        return 0
+    limit = symalg.MAX_VALUE_BITS
+
+    def check(bits):
+        if bits > limit:
+            raise DomainError(f"the value of {c} would exceed the limit of {limit} bits")
+
+    total, run_bits = 1, None  # run_bits: the bound of the open run of exponent-1 factors
+    for i, k in enumerate(exps, start=1):
+        if not k:
+            continue
+        if k == 1:
+            run_bits = (total.bit_length() if run_bits is None else run_bits) + e[i].bit_length() - 1
+        else:
+            if run_bits is not None:
+                check(run_bits)
+                run_bits = None
+            check(total.bit_length() + k * (e[i].bit_length() - 1))
+        total *= e[i] ** k
+    if run_bits is not None:
+        check(run_bits)
     if c.e_exponent:
-        if c.e_exponent > 1:
-            symalg._check_power(c, total, euler, c.e_exponent)
+        check(total.bit_length() + c.e_exponent * (abs(euler).bit_length() - 1))
         total *= euler ** c.e_exponent
     return total
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -193,18 +194,18 @@ def test_theorem_a_small_prime_times_two_large_primes():
     assert payload["reasons"] == [{"kind": "gcd_has_odd_prime", "prime": 1000003}]
 
 
-def test_sigma_runaway_exponent_is_refused_at_once():
-    # 5^3000000 has about 7 million bits: printing it in decimal takes many minutes
+def sigma(cls, weights, timeout=WITNESS_TIMEOUT_S):
+    """``sigma --class cls --weights weights`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "kappa_forge.cli", "sigma", "--class", cls, "--weights", weights],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
-    def sigma(cls, weights):
-        return subprocess.run(
-            [sys.executable, "-m", "kappa_forge.cli", "sigma", "--class", cls,
-             "--weights", weights],
-            capture_output=True, text=True, env=env, timeout=WITNESS_TIMEOUT_S,
-        )
 
+def test_sigma_runaway_exponent_is_refused_at_once():
+    # 5^3000000 has about 7 million bits: printing it in decimal takes many minutes
     for cls in ("p1^3000000", "p1^100000000000"):
         proc = sigma(cls, "2,1")
         assert (proc.returncode, proc.stdout) == (1, "")
@@ -213,6 +214,24 @@ def test_sigma_runaway_exponent_is_refused_at_once():
         )
     proc = sigma("p1^100000000000", "1,0")
     assert (proc.returncode, proc.stdout) == (0, "1\n")
+
+
+def test_sigma_runaway_product_of_exponent_one_factors_is_refused_at_once():
+    # about 3.6 million bits in sixteen factors of one power each: computing and
+    # printing the product takes tens of seconds, counting its bits takes none
+    rng = random.Random(16)
+    weights = ",".join(str(rng.randrange(10**3999, 10**4000)) for _ in range(16))
+    cls = "*".join(f"p{i}" for i in range(1, 17))
+    proc = sigma(cls, weights, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: the value of {cls} would exceed the limit of 1048576 bits\n"
+
+
+@pytest.mark.parametrize("cls", ["p1^2097152*p2", "e^2097152*p1"])
+def test_sigma_factor_zero_is_never_refused(cls):
+    # e2 and the Euler product of (5, 0) are 0: so is the value, however large p1^k or e^k
+    proc = sigma(cls, "5,0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_adams_certify_not_applicable(capsys):

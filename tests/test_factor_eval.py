@@ -93,8 +93,8 @@ def test_localization_matches_the_full_scan(n, data):
 @pytest.mark.parametrize(
     "text, w, refused",
     [
-        # eight exponent-1 factors, 751 bits in all: only powers are checked
-        ("p1*p2*p3*p4*p5*p6*p7*p8", (1000,) * 8, False),
+        # eight exponent-1 factors, 751 bits in all: a run counts like a power
+        ("p1*p2*p3*p4*p5*p6*p7*p8", (1000,) * 8, True),
         # p4^3 alone has 240 bits; the run p1*p2*p3 before it tips it over
         ("p4^3", (1000,) * 4, False),
         ("p1*p2*p3*p4^3", (1000,) * 4, True),
@@ -103,6 +103,12 @@ def test_localization_matches_the_full_scan(n, data):
         ("p1*p2^2", (2**30, 2**30), True),
         ("p1*e^3", (2**30, 2**30), False),
         ("p1*p2*e^3", (2**30, 2**30), True),
+        # e^1 counts like any power: e1 has 201 bits, the Euler product 101
+        ("p1", (2**100,), False),
+        ("p1*e", (2**100,), True),
+        # a factor 0 makes the value 0, which is never refused
+        ("p1^300*p2", (5, 0), False),
+        ("e^300*p1", (5, 0), False),
     ],
 )
 def test_runs_fold_in_before_each_checked_power(text, w, refused):

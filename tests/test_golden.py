@@ -15,10 +15,10 @@ interpreter with
 
     PYTHONPATH=src python tests/test_golden.py | cmp - tests/golden_cli.json
 
-It is byte-identical under CPython 3.10.13, 3.11.7 and 3.12.1.  Under
-3.13.0, 12 help and usage-error entries differ, because argparse there
-wraps usage lines differently; that is why the CI matrix stays at
-3.10-3.12.
+It is byte-identical under CPython 3.10.13, 3.11.7 and 3.12.1.  Help and
+usage-error entries differ under 3.13, 12 of them under 3.13.0 and 14
+under 3.13.13, because argparse there wraps and words them differently;
+that is why the CI matrix stays at 3.10-3.12.
 """
 
 import contextlib

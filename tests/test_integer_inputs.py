@@ -9,6 +9,7 @@ digit limit raises ParseError, an exponent form before Fraction builds the
 number.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
-from kappa_forge.errors import ParseError, bounded_fraction
+from kappa_forge.errors import ParseError, bounded_fraction, int_digit_limit, unlimited_int_digits
 from kappa_forge.localization import (
     GAMMA,
     FixedComponent,
@@ -191,3 +192,33 @@ def test_bool_is_refused_before_the_value_is_used():
     with pytest.raises(TypeError, match="expected an integer, got True"):
         CharClassMonomial.pontryagin(True, 2)
     assert CharClassMonomial.pontryagin(1, 2) == P1
+
+
+def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound():
+    # before CPython 3.10.7: int() takes any length, and sys has no limit to read or set
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(sys, "get_int_max_str_digits")
+            mp.delattr(sys, "set_int_max_str_digits")
+            assert int_digit_limit() == 4300
+            with unlimited_int_digits():
+                assert int_digit_limit() == 4300
+            assert bounded_fraction("9" * 4300) == 10**4300 - 1
+            with pytest.raises(ParseError, match="numerator or denominator over the 4300-digit"):
+                bounded_fraction("9" * 4301)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_lifted_digit_limit_comes_back_when_an_exception_leaves_the_block():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with pytest.raises(RuntimeError), unlimited_int_digits():
+            assert sys.get_int_max_str_digits() == 0
+            raise RuntimeError
+        assert sys.get_int_max_str_digits() == int_digit_limit() == 5000
+    finally:
+        sys.set_int_max_str_digits(previous)

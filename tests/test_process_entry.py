@@ -175,9 +175,11 @@ def test_closed_pipe_is_one_error_line(size, unbuffered):
     assert (proc.returncode, proc.stderr) == (1, BROKEN_PIPE)
 
 
-def test_help_into_closed_pipe_is_one_error_line():
-    # buffered, the help waits in stdout's buffer and run's flush meets the closed pipe
-    proc = into_closed_pipe(["-h"], buffering_env(False))
+@BUFFERING
+def test_help_into_closed_pipe_is_one_error_line(unbuffered):
+    # buffered, the help waits in stdout's buffer and run's flush meets the closed pipe;
+    # unbuffered, argparse's write meets it, and the parser lets that error reach run
+    proc = into_closed_pipe(["-h"], buffering_env(unbuffered))
     assert (proc.returncode, proc.stderr) == (1, BROKEN_PIPE)
 
 
@@ -187,6 +189,14 @@ def test_stdout_closed_from_the_start_stays_silent():
                            "kappa_forge.cli", *BETTI],
                           env=cli_env(), stderr=subprocess.PIPE, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_help_with_stdout_closed_from_the_start_goes_to_stderr():
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+                           "kappa_forge.cli", "-h"],
+                          env=cli_env(), stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith(b"usage: kappa-forge [-h]")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -81,6 +81,23 @@ import json
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
+# the same list, entered as the installed script enters: through cli.run, with no
+# contextlib.redirect_* (the report goes to the real stdout) and no -m (runpy
+# imports contextlib before the call starts)
+RUN_PROBE = """
+import io, sys
+before = set(sys.modules)
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+from kappa_forge.cli import run
+try:
+    run()
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(set(sys.modules) - before)
+import json
+sys.__stdout__.write(json.dumps({"code": code, "loaded": loaded}))
+"""
+
 
 def run_probe(script, argv):
     env = dict(os.environ)
@@ -192,6 +209,19 @@ def test_file_and_catalog_calls_load_no_dataclasses(tmp_path, argv):
 def test_betti_loads_no_json_and_no_fractions():
     argv = ["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"]
     assert run_probe(STDLIB_PROBE, argv) & {"json", "fractions", "decimal"} == set()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMAND_CALLS], ids=call_id)
+def test_no_call_loads_contextlib(tmp_path, argv):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(DATA))
+    argv = [a.replace("{data}", str(data)) for a in argv]
+    assert "contextlib" not in run_probe(RUN_PROBE, argv)
+
+
+def test_betti_loads_no_functools_and_no_collections():
+    argv = ["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"]
+    assert run_probe(RUN_PROBE, argv) & {"functools", "collections"} == set()
 
 
 def test_importing_the_package_loads_no_module():
