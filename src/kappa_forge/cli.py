@@ -37,7 +37,9 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import DomainError, ParseError, bounded_fraction, clip, parse_weight_list, unlimited_int_digits
+from .errors import (
+    DomainError, ParseError, bounded_fraction, clip, int_digit_limit, int_digit_scope, parse_weight_list,
+)
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
 
@@ -68,7 +70,7 @@ def _parse_fraction_list(text: str) -> list:
         token = token.strip()
         try:
             out.append(bounded_fraction(token))
-        except ParseError:  # over the digit limit
+        except ParseError:  # bounded_fraction's own refusal
             raise
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational '{clip(token)}'") from None
@@ -118,9 +120,8 @@ def _load_file(path):
 def _run_inputs(args, per_file) -> int:
     """Run ``per_file(path, loaded, prefix)`` on each --input file, in order.
 
-    ``per_file`` returns (payload, text lines, ok), formatting its numbers
-    under :func:`unlimited_int_digits`; ``prefix`` is "path: " when there
-    are several files.  Validation notes go to stderr, one file
+    ``per_file`` returns (payload, text lines, ok); ``prefix`` is "path: "
+    when there are several files.  Validation notes go to stderr, one file
     emits its payload and several emit a list; any file not ok exits 1.
 
     Each file's step runs with the cyclic collector paused, and the file's
@@ -164,8 +165,7 @@ def cmd_sigma(args) -> int:
         "sigma": value,
         "weights": weights,
     }
-    with unlimited_int_digits():
-        _emit(args, payload, [str(value)])
+    _emit(args, payload, [str(value)])
     return 0
 
 
@@ -179,10 +179,8 @@ def cmd_localize(args) -> int:
             monomial = parse_class_monomial(args.cls, n)
             kv = localize_circle(loaded.data, monomial)
             label = kappa_class_label(monomial)
-            with unlimited_int_digits():
-                payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
-                lines = [prefix + _kappa_text(label, kv)]
-            return payload, lines, True
+            payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
+            return payload, [prefix + _kappa_text(label, kv)], True
         if loaded.expected is None:
             raise ParseError(
                 f"'{path}': no --class given and the file carries no "
@@ -191,25 +189,24 @@ def cmd_localize(args) -> int:
         comparisons = compare_expected(loaded.data, loaded.expected)
         results = []
         lines = []
-        with unlimited_int_digits():
-            for comp in comparisons:
-                label = kappa_class_label(comp.expected.class_monomial)
-                status = "ok" if comp.matches else "MISMATCH"
-                lines.append(
-                    f"{prefix}{_kappa_text(label, comp.computed)} "
-                    f"(expected {comp.expected.coefficient}: {status})"
-                )
-                results.append(
-                    {
-                        "class": str(comp.expected.class_monomial),
-                        "computed": str(comp.computed.coefficient),
-                        "expected": str(comp.expected.coefficient),
-                        "generator": comp.expected.generator,
-                        "kappa_class": label,
-                        "matches": comp.matches,
-                        "power": comp.computed.generator_power,
-                    }
-                )
+        for comp in comparisons:
+            label = kappa_class_label(comp.expected.class_monomial)
+            status = "ok" if comp.matches else "MISMATCH"
+            lines.append(
+                f"{prefix}{_kappa_text(label, comp.computed)} "
+                f"(expected {comp.expected.coefficient}: {status})"
+            )
+            results.append(
+                {
+                    "class": str(comp.expected.class_monomial),
+                    "computed": str(comp.computed.coefficient),
+                    "expected": str(comp.expected.coefficient),
+                    "generator": comp.expected.generator,
+                    "kappa_class": label,
+                    "matches": comp.matches,
+                    "power": comp.computed.generator_power,
+                }
+            )
         ok = all(comp.matches for comp in comparisons)
         payload = {"checks": results, "input": str(path), "ok": ok}
         return payload, lines, ok
@@ -223,18 +220,17 @@ def cmd_pullback_su2(args) -> int:
     def per_file(path, loaded, prefix):
         kv, b_i = pullback_su2(loaded.data, args.i)
         label = kappa_class_label(kv.class_monomial)
-        with unlimited_int_digits():
-            payload = {
-                **kv.to_json_dict(),
-                "b_i": str(b_i),
-                "i": args.i,
-                "input": str(path),
-                "kappa_class": label,
-            }
-            lines = [
-                prefix + _kappa_text(label, kv),
-                f"{prefix}b_{args.i} = {b_i}",
-            ]
+        payload = {
+            **kv.to_json_dict(),
+            "b_i": str(b_i),
+            "i": args.i,
+            "input": str(path),
+            "kappa_class": label,
+        }
+        lines = [
+            prefix + _kappa_text(label, kv),
+            f"{prefix}b_{args.i} = {b_i}",
+        ]
         return payload, lines, True
 
     return _run_inputs(args, per_file)
@@ -264,29 +260,27 @@ def cmd_adams(args) -> int:
     b = BVector.of(_parse_fraction_list(args.b))
     if not args.certify:
         transformed = adams_transform(args.k, b)
-        with unlimited_int_digits():
-            payload = {
-                "b": [str(x) for x in b],
-                "b_transformed": [str(x) for x in transformed],
-                "k": args.k,
-            }
-            _emit(args, payload, [str(transformed)])
+        payload = {
+            "b": [str(x) for x in b],
+            "b_transformed": [str(x) for x in transformed],
+            "k": args.k,
+        }
+        _emit(args, payload, [str(transformed)])
         return 0
     flags = _parse_flags(args.flags)
     result = nonkinetic_certificate(b, args.k, flags)
-    with unlimited_int_digits():
-        if isinstance(result, Certificate):
-            lines = [
-                "certificate: non-kinetic",
-                f"k = {result.k}",
-                f"witness prime = {result.witness_prime}",
-                f"gcd = {result.gcd}",
-                f"b_base = {result.b_base}",
-                f"b_transformed = {result.b_transformed}",
-            ]
-            _emit(args, result.to_json_dict(), lines)
-        else:
-            _emit(args, result.to_json_dict(), [f"not applicable: {result.reason}"])
+    if isinstance(result, Certificate):
+        lines = [
+            "certificate: non-kinetic",
+            f"k = {result.k}",
+            f"witness prime = {result.witness_prime}",
+            f"gcd = {result.gcd}",
+            f"b_base = {result.b_base}",
+            f"b_transformed = {result.b_transformed}",
+        ]
+        _emit(args, result.to_json_dict(), lines)
+    else:
+        _emit(args, result.to_json_dict(), [f"not applicable: {result.reason}"])
     return 0
 
 
@@ -345,11 +339,8 @@ def cmd_catalog_s2xs2(args) -> int:
 
     entry = s2xs2_family(args.k)
     if args.out is None:
-        with unlimited_int_digits():
-            print(json.dumps(entry.to_payload(), indent=2, sort_keys=True))
+        print(json.dumps(entry.to_payload(), indent=2, sort_keys=True))
         return 0
-    # written under the digit limit, so localize --input reads it back and
-    # every number printed below fits the limit too
     entry.write(args.out)
     expected_lines = [
         "expected " + _kappa_text(kappa_class_label(ev.class_monomial), ev)
@@ -370,23 +361,21 @@ def cmd_catalog_wg(args) -> int:
     report = wg_hypothesis_report(args.n, args.g)
     payload = {name: getattr(report, name) for name in report._fields}
     payload["hypotheses"] = report.hypotheses.to_json_dict()
-    # 2g and 2 - 2g have one digit more than g
-    with unlimited_int_digits():
-        betti_text = ",".join(str(x) for x in report.betti)
-        lines = [
-            f"{report.manifold} (dimension {2 * report.n})",
-            f"euler characteristic: {report.euler_char}",
-            f"rationally odd: {'yes' if report.rationally_odd else 'no'} (betti {betti_text})",
-            f"building-block fixed set: {report.fixed_set} (non-empty)",
-        ]
-        if report.theorems_apply:
-            lines.append("obstruction hypotheses: satisfied")
-        else:
-            lines.append(
-                "obstruction hypotheses: not satisfied "
-                f"(euler characteristic {report.euler_char} is not negative)"
-            )
-        _emit(args, payload, lines)
+    betti_text = ",".join(str(x) for x in report.betti)
+    lines = [
+        f"{report.manifold} (dimension {2 * report.n})",
+        f"euler characteristic: {report.euler_char}",
+        f"rationally odd: {'yes' if report.rationally_odd else 'no'} (betti {betti_text})",
+        f"building-block fixed set: {report.fixed_set} (non-empty)",
+    ]
+    if report.theorems_apply:
+        lines.append("obstruction hypotheses: satisfied")
+    else:
+        lines.append(
+            "obstruction hypotheses: not satisfied "
+            f"(euler characteristic {report.euler_char} is not negative)"
+        )
+    _emit(args, payload, lines)
     return 0
 
 
@@ -546,11 +535,13 @@ def build_parser():
     class Parser(argparse.ArgumentParser):
         # argparse drops a failed write from Python 3.11 on, so help into a closed pipe
         # would exit 0 unsaid: a write to stdout lets its error go on to run, and one to
-        # stderr keeps a usage error's exit 2.  Subparsers take this class too.
+        # stderr keeps a usage error's exit 2.  A stream closed at start is None and takes
+        # no write, which Python 3.10 would end in exit 1.  Subparsers take this class too.
         def _print_message(self, message, file=None):
+            file = sys.stderr if file is None else file
             if message and file is not None and file is sys.stdout:
                 file.write(message)
-            else:
+            elif file is not None:
                 super()._print_message(message, file)
 
     parser = Parser(
@@ -585,21 +576,22 @@ def _add_commands(parser, dest, commands, store) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = read_argv(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
-    try:
-        # resolved before any work, so a bad value computes and writes nothing
-        args.format = args.format or os.environ.get(FORMAT_ENV) or "text"
-        if args.format not in FORMATS:
-            raise ParseError(f"bad output format '{args.format}' (expected 'text' or 'json')")
-        return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # results and messages print in full; each parser holds int_digit_limit() (4300 here) itself
+    with int_digit_scope(0):
+        with int_digit_scope(int_digit_limit()):  # and so do the integer options
+            args = read_argv(argv) or build_parser().parse_args(argv)
+        try:
+            # resolved before any work, so a bad value computes and writes nothing
+            args.format = args.format or os.environ.get(FORMAT_ENV) or "text"
+            if args.format not in FORMATS:
+                raise ParseError(f"bad output format '{args.format}' (expected 'text' or 'json')")
+            return args.handler(args)
+        except ParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def run() -> None:

@@ -168,9 +168,9 @@ def over_limit(what: str, limit: int, unit: str) -> DomainError:
     return DomainError(f"{what} would exceed the limit of {limit} {unit}")
 
 
-def int_digit_limit(default=4300):
-    """The int-string digit limit, or ``default`` if lifted (0) or absent (before Python 3.10.7)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or default
+def int_digit_limit():
+    """The int-string digit limit in force, or 4300 if lifted (0) or absent (before Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def over_digit_limit(what: str) -> ParseError:
@@ -178,23 +178,27 @@ def over_digit_limit(what: str) -> ParseError:
     return ParseError(f"{what} over the {int_digit_limit()}-digit limit")
 
 
-class unlimited_int_digits:
-    """Lift the int-to-str digit limit in a ``with`` block, so computed results print in full.
+class int_digit_scope:
+    """Hold the int-string digit limit at ``limit`` in a ``with`` block; 0 lifts it.
 
-    Input is never parsed inside such a block, so an over-long number stays
-    a parse error.  The previous limit comes back on exit, exception or not.
-    A no-op where no limit is in force.
+    ``cli.main`` lifts it for every handler, and each parser of outside text
+    holds :func:`int_digit_limit` (4300 when lifted) itself.  The previous
+    limit comes back on exit, exception or not.  A no-op before Python 3.10.7.
     """
 
-    __slots__ = ("_previous",)
+    __slots__ = ("_limit", "_previous")
+
+    def __init__(self, limit: int) -> None:
+        self._limit = limit
 
     def __enter__(self) -> None:
-        self._previous = int_digit_limit(None)
-        if self._previous:
-            sys.set_int_max_str_digits(0)
+        get = getattr(sys, "get_int_max_str_digits", None)
+        self._previous = get and get()
+        if self._previous is not None:
+            sys.set_int_max_str_digits(self._limit)
 
     def __exit__(self, *exc_info) -> None:
-        if self._previous:
+        if self._previous is not None:
             sys.set_int_max_str_digits(self._previous)
 
 
@@ -222,8 +226,9 @@ def bounded_fraction(text: str):
     limit = int_digit_limit()
     m = re.match(_EXPONENT, text.strip())  # Fraction ignores surrounding whitespace
     try:
-        huge_exponent = m and abs(int(m.group(2))) > limit + len(m.group(1))
-        value = Fraction(m.group(1) if huge_exponent else text)
+        with int_digit_scope(limit):
+            huge_exponent = m and abs(int(m.group(2))) > limit + len(m.group(1))
+            value = Fraction(m.group(1) if huge_exponent else text)
     except ValueError as exc:
         # int() refuses a run of more than `limit` digits: text that Fraction takes
         # with each digit run cut to one digit was well formed, only too long
@@ -261,13 +266,14 @@ def parse_weight_list(text: str) -> list[int]:
     if not text.strip():
         raise ParseError("empty weight list")
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            out.append(int(token))
-        except ValueError:
-            digits = token[1:] if token[:1] in "+-" else token
-            if digits.isdecimal():  # int refuses decimal digits only past the digit limit
-                raise over_digit_limit(f"bad weight '{clip(token)}' is") from None
-            raise ParseError(f"bad weight '{clip(token)}'") from None
+    with int_digit_scope(int_digit_limit()):
+        for token in text.split(","):
+            token = token.strip()
+            try:
+                out.append(int(token))
+            except ValueError:
+                digits = token[1:] if token[:1] in "+-" else token
+                if digits.isdecimal():  # int refuses decimal digits only past the digit limit
+                    raise over_digit_limit(f"bad weight '{clip(token)}' is") from None
+                raise ParseError(f"bad weight '{clip(token)}'") from None
     return out

@@ -27,7 +27,8 @@ from math import prod
 
 from . import _MODULE_EXPORTS
 from .errors import (
-    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, exact_rational, int_digit_limit, strict_index,
+    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, exact_rational, int_digit_limit,
+    int_digit_scope, strict_index,
 )
 from .symalg import (
     CharClassMonomial,
@@ -500,7 +501,7 @@ def read_fixed_point_file(path) -> FixedPointFile:
     """Read and parse a fixed-point data file, with the cyclic collector paused (:class:`_gc_paused`)."""
     with _gc_paused():
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8") as handle, int_digit_scope(int_digit_limit()):
                 obj = json.load(handle)
         except OSError as exc:
             raise ParseError(f"cannot read '{path}': {exc}") from None
@@ -544,15 +545,16 @@ def write_fixed_point_file(
 ) -> None:
     """Write the data file, or raise DomainError and write nothing.
 
-    Numbers are formatted under the int-string digit limit that
+    Numbers are formatted under the :func:`int_digit_limit` that
     :func:`read_fixed_point_file` parses under, so a file that could not be
     read back is refused.  A path that cannot be opened for writing raises
     ParseError, as one that cannot be read does.
     """
     try:
-        text = json.dumps(
-            fixed_point_payload(data, expected, provenance), indent=2, sort_keys=True
-        )
+        with int_digit_scope(int_digit_limit()):
+            text = json.dumps(
+                fixed_point_payload(data, expected, provenance), indent=2, sort_keys=True
+            )
     except ValueError:  # int-to-str conversion past the digit limit
         raise DomainError(
             f"{path}: not written: a number in it would exceed the "

@@ -457,7 +457,9 @@ def nonkinetic_certificate(
     Requires all hypothesis flags and a base vector that itself passes the
     obstruction test (it is supposed to come from an action).  The twisted
     vector k^{2i} b_i then has a gcd divisible by k^2, and the certificate
-    carries the smallest odd prime dividing that gcd.
+    carries the smallest odd prime dividing that gcd.  The base gcd is a
+    power of 2, so an odd prime divides the twisted gcd iff it divides k:
+    the witness is k's smallest prime, found by factoring k, not the gcd.
     """
     b_base = BVector.of(b_base)
     if not flags.all_set():
@@ -474,10 +476,8 @@ def nonkinetic_certificate(
             + "; ".join(str(r) for r in base_verdict.reasons)
         )
     transformed = adams_transform(k, b_base)
-    # the base passed, so the transform is integral and not all zero, and
-    # every entry is divisible by the odd square k^2 > 1: g has an odd prime
     g = math.gcd(*(int(x) for x in transformed))
-    return Certificate(k, b_base, transformed, g, _smallest_odd_prime_factor(g), flags)
+    return Certificate(k, b_base, transformed, g, _smallest_odd_prime_factor(k), flags)
 
 
 class BettiFeasibility(Record):

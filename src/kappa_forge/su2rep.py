@@ -32,8 +32,8 @@ from collections import Counter
 
 from . import _MODULE_EXPORTS
 from .errors import (
-    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, SequenceRecord, clip, over_digit_limit, over_limit,
-    parse_weight_list, strict_index,
+    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, SequenceRecord, clip, int_digit_limit,
+    over_digit_limit, over_limit, parse_weight_list, strict_index,
 )
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
@@ -170,11 +170,9 @@ def parse_real_rep(text: str) -> RealRep:
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"bad representation term '{clip(term)}'")
-        try:
-            mult = int(m.group(1)) if m.group(1) else 1
-            dim = int(m.group(2))
-        except ValueError:  # only digits get here: over the int-string digit limit
-            raise over_digit_limit(f"representation term '{clip(term)}' has a number") from None
+        if max(map(len, m.groups(""))) > int_digit_limit():
+            raise over_digit_limit(f"representation term '{clip(term)}' has a number")
+        mult, dim = int(m.group(1) or 1), int(m.group(2))
         if mult < 1:
             raise ParseError(f"multiplicity must be >= 1 in '{clip(term)}'")
         terms.append((dim, mult))

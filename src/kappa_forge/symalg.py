@@ -25,8 +25,8 @@ from math import prod
 
 from . import _MODULE_EXPORTS
 from .errors import (
-    MAX_VALUE_BITS, DomainError, ParseError, Record, SequenceRecord, clip, over_digit_limit, over_limit,
-    strict_index,
+    MAX_VALUE_BITS, DomainError, ParseError, Record, SequenceRecord, clip, int_digit_limit,
+    over_digit_limit, over_limit, strict_index,
 )
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
@@ -316,11 +316,10 @@ def parse_class_monomial(text: str, n: int) -> CharClassMonomial:
         m = _FACTOR_RE.match(factor)
         if m is None:
             raise ParseError(f"bad class factor '{clip(factor)}'")
-        try:
-            exp = 1 if m.group(3) is None else int(m.group(3))
-            idx = None if m.group(2) is None else int(m.group(2))
-        except ValueError:  # only digits get here: over the int-string digit limit
-            raise over_digit_limit(f"class factor '{clip(factor)}' has a number") from None
+        idx_text, exp_text = m.group(2) or "", m.group(3) or "1"
+        if max(len(idx_text), len(exp_text.lstrip("-"))) > int_digit_limit():
+            raise over_digit_limit(f"class factor '{clip(factor)}' has a number")
+        idx, exp = int(idx_text) if idx_text else None, int(exp_text)
         if exp < 0:
             raise ParseError(f"negative exponent in '{clip(factor)}'")
         if idx is None:

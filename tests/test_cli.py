@@ -530,6 +530,92 @@ def test_over_long_weight_argument_is_parse_error(capsys):
     assert err == f"error: bad weight '{'9' * 20}...' is over the 4300-digit limit\n"
 
 
+# Each parser holds the digit limit itself and main lifts it for the rest of the
+# call, so a number derived from input may pass 4,300 digits anywhere: in an
+# answer, in a class's text or in an error message.
+K = "9" * 4299
+TWENTY_FACTORS = "*".join([f"p1^{K}"] * 20)  # p1^(20K), an exponent of 4,301 digits
+
+
+def f6_file(tmp_path, **extra):
+    """n = 6 data: one component of weights 1 and chi 1, with ``extra`` keys."""
+    path = tmp_path / "f6.json"
+    payload = {"fiber_half_dim": 6, "components": [{"name": "a", "euler_char": 1, "weights": [1] * 6}]}
+    path.write_text(json.dumps({**payload, **extra}))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sigma_prints_a_class_exponent_past_digit_limit(capsys, fmt):
+    argv = ["sigma", "--class", TWENTY_FACTORS, "--weights", "1", "--format", fmt]
+    code, out, err = run_big(capsys, argv)
+    assert (code, err) == (0, "")
+    with digits_unlimited():
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["class"], payload["sigma"]) == (f"p1^{20 * int(K)}", 1)
+        else:
+            assert out == "1\n"
+
+
+def test_localize_prints_a_power_past_digit_limit(capsys, tmp_path):
+    argv = ["localize", "--input", str(f6_file(tmp_path)), "--class", f"p6^{K}", "--format", "json"]
+    code, out, err = run_big(capsys, argv)
+    assert (code, err) == (0, "")
+    with digits_unlimited():
+        assert json.loads(out)["power"] == 12 * int(K)
+
+
+def test_value_limit_names_a_class_past_digit_limit(capsys):
+    code, out, err = run_big(capsys, ["sigma", "--class", TWENTY_FACTORS, "--weights", "2"])
+    assert (code, out) == (1, "")
+    with digits_unlimited():
+        assert err == (
+            f"error: the value of p1^{20 * int(K)} would exceed the limit of 1048576 bits\n"
+        )
+
+
+def test_euler_mismatch_names_a_sum_past_digit_limit(capsys, tmp_path):
+    chi = "9" * 4300
+    path = tmp_path / "big_chi.json"
+    path.write_text(
+        '{"fiber_half_dim": 1, "fiber_euler_char": 0, "components": ['
+        f'{{"name": "a", "euler_char": {chi}, "weights": [1]}}, '
+        f'{{"name": "b", "euler_char": {chi}, "weights": [2]}}]}}'
+    )
+    code, out, err = run_big(capsys, ["localize", "--input", str(path), "--class", "p1"])
+    assert (code, out) == (2, "")
+    with digits_unlimited():
+        assert err == (
+            f"error: '{path}': Euler characteristic mismatch: components sum to "
+            f"{2 * int(chi)}, fiber_euler_char is 0\n"
+        )
+
+
+def test_annotation_power_mismatch_names_a_degree_past_digit_limit(capsys, tmp_path):
+    annotation = {"class": f"p6^{K}", "coefficient": 1, "generator": "gamma", "power": 1}
+    path = f6_file(tmp_path, expected=[annotation])
+    code, out, err = run_big(capsys, ["localize", "--input", str(path)])
+    assert (code, out) == (2, "")
+    with digits_unlimited():
+        assert err == (
+            f"error: '{path}': expected[0]: generator power 1 does not match "
+            f"degree {24 * int(K)} of p6^{K} on gamma\n"
+        )
+
+
+def test_input_bound_holds_when_the_caller_lifted_the_limit(capsys):
+    with digits_unlimited():
+        code, out, err = run(capsys, ["sigma", "--class", "p1", "--weights", "9" * 4301])
+        with pytest.raises(SystemExit) as usage_error:
+            main(["betti", "--w-even", "9" * 4301, "--w-odd", "1", "--m-even", "1", "--m-odd", "1"])
+        assert sys.get_int_max_str_digits() == 0
+    assert (code, out) == (2, "")
+    assert err == f"error: bad weight '{'9' * 20}...' is over the 4300-digit limit\n"
+    assert usage_error.value.code == 2
+    assert "argument --w-even: invalid int value" in capsys.readouterr().err
+
+
 X20 = "x" * 20
 
 

@@ -20,13 +20,15 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
-from kappa_forge.errors import ParseError, bounded_fraction, int_digit_limit, unlimited_int_digits
+from kappa_forge.errors import DomainError, ParseError, bounded_fraction, int_digit_limit, int_digit_scope
 from kappa_forge.localization import (
     GAMMA,
     FixedComponent,
     FixedPointData,
     KappaValue,
     pullback_su2,
+    read_fixed_point_file,
+    write_fixed_point_file,
 )
 from kappa_forge.obstruction import (
     BVector,
@@ -203,7 +205,7 @@ def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound():
             mp.delattr(sys, "get_int_max_str_digits")
             mp.delattr(sys, "set_int_max_str_digits")
             assert int_digit_limit() == 4300
-            with unlimited_int_digits():
+            with int_digit_scope(0):
                 assert int_digit_limit() == 4300
             assert bounded_fraction("9" * 4300) == 10**4300 - 1
             with pytest.raises(ParseError, match="numerator or denominator over the 4300-digit"):
@@ -216,9 +218,33 @@ def test_lifted_digit_limit_comes_back_when_an_exception_leaves_the_block():
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)
     try:
-        with pytest.raises(RuntimeError), unlimited_int_digits():
+        with pytest.raises(RuntimeError), int_digit_scope(0):
             assert sys.get_int_max_str_digits() == 0
             raise RuntimeError
         assert sys.get_int_max_str_digits() == int_digit_limit() == 5000
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_data_files_keep_the_4300_digit_bound_under_a_lifted_limit(tmp_path):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        big = 10**4300  # 4,301 digits
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"fiber_half_dim": 1, "components": [{{"name": "a", "euler_char": {big}, "weights": [1]}}]}}'
+        )
+        with pytest.raises(ParseError, match="is not valid JSON: Exceeds the limit"):
+            read_fixed_point_file(path)
+        out = tmp_path / "out.json"
+        data = FixedPointData(1, (FixedComponent("a", big, (1,)),))
+        with pytest.raises(DomainError, match="not written: .* the 4300-digit limit"):
+            write_fixed_point_file(out, data)
+        assert not out.exists()
+        assert sys.get_int_max_str_digits() == 0
+        data = FixedPointData(1, (FixedComponent("a", big - 1, (1,)),))
+        write_fixed_point_file(out, data)  # 4,300 digits: written and read back
+        assert read_fixed_point_file(out).data == data
     finally:
         sys.set_int_max_str_digits(previous)

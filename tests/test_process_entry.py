@@ -208,3 +208,39 @@ def test_full_device_is_one_error_line(size, unbuffered):
                      stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 1
     assert proc.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+
+# ---------------------------------------------------------------------------
+# stderr closed, and the digit limit of the process
+# ---------------------------------------------------------------------------
+
+def test_usage_error_with_stderr_closed_from_the_start_exits_2():
+    # Python 3.10's argparse would write the message to sys.stderr, which is None here
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m",
+                           "kappa_forge.cli", "theorem-a"],
+                          env=cli_env(), stdout=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith(b"usage: kappa-forge theorem-a [-h]")
+
+
+def test_message_past_the_digit_limit_prints_through_run():
+    factors = "*".join(["p1^" + "9" * 4299] * 20)  # each factor parses
+    exponent = "1" + "9" * 4298 + "80"  # their sum 20 * (10^4299 - 1), of 4,301 digits
+    proc = spawn(["-m", "kappa_forge.cli", "sigma", "--class", factors, "--weights", "2"],
+                 capture_output=True, text=True)
+    message = f"error: the value of p1^{exponent} would exceed the limit of 1048576 bits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "setting, digits, code", [("0", 4301, 2), ("1000", 4300, 0), ("5000", 4301, 2)],
+    ids=["lifted", "lowered", "raised"],
+)
+def test_input_bound_is_4300_digits_whatever_the_process_limit(setting, digits, code):
+    proc = spawn(["-m", "kappa_forge.cli", "sigma", "--class", "p1", "--weights", "9" * digits],
+                 cli_env(PYTHONINTMAXSTRDIGITS=setting), capture_output=True, text=True)
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr == f"error: bad weight '{'9' * 20}...' is over the 4300-digit limit\n"
+    else:
+        assert len(proc.stdout) == 2 * digits + 1  # (10^d - 1)^2 and a newline

@@ -16,9 +16,11 @@ sympy = pytest.importorskip("sympy")
 from sympy.ntheory.primetest import is_strong_lucas_prp  # noqa: E402
 
 from kappa_forge.obstruction import (  # noqa: E402
+    HypothesisFlags,
     _is_prime,
     _smallest_odd_prime_factor,
     _strong_lucas_probable_prime,
+    nonkinetic_certificate,
 )
 
 # below this bound Miller-Rabin to the prime bases 2..41 is a proof
@@ -147,3 +149,23 @@ def test_squares_of_primes_near_1e12(offset, twos):
     p = prime_at_least(10**12 + offset)
     g = (p * p) << twos
     assert _smallest_odd_prime_factor(g) == p == reference(g)
+
+
+def base_vector(entries):
+    """``entries`` divided by the odd part of their gcd, so that it passes Theorem A."""
+    g = math.gcd(*entries)
+    return [x // (g >> ((g & -g).bit_length() - 1)) for x in entries]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    entries=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6).filter(any),
+    primes=st.lists(st.integers(3, 2**40), min_size=1, max_size=3),
+)
+def test_certificate_witness_is_the_smallest_prime_of_k(entries, primes):
+    # the base gcd is a power of 2, so the odd primes of the rescaled gcd are those of k
+    k = math.prod(prime_at_least(x) for x in primes)
+    cert = nonkinetic_certificate(base_vector(entries), k, HypothesisFlags.all_true())
+    assert cert.witness_prime == min(sympy.factorint(k))
+    assert cert.gcd % cert.witness_prime == 0
+    assert cert.witness_prime == reference(cert.gcd)
