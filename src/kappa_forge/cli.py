@@ -65,9 +65,21 @@ def _emit(args, payload, lines) -> None:
 
 
 def _parse_fraction_list(text: str) -> list:
-    out = []
+    """The rationals of a comma-separated ``--b``: an integer literal as an int, the rest as Fractions.
+
+    An integer within the digit limit needs neither ``fractions`` nor
+    ``re``.  A token with ``_`` is no integer literal here, since Fraction
+    refuses it before Python 3.11.
+    """
+    out, limit = [], int_digit_limit()
     for token in text.split(","):
         token = token.strip()
+        digits = token[1:] if token[:1] in "+-" else token
+        # isdecimal() takes the digits of Fraction's \d and int(); a longer run is
+        # left to bounded_fraction, which words the refusal
+        if digits.isdecimal() and len(digits) <= limit:
+            out.append(int(token))
+            continue
         try:
             out.append(bounded_fraction(token))
         except ParseError:  # bounded_fraction's own refusal

@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kappa_forge.catalog import (
     connected_sum_euler,
@@ -20,7 +22,10 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
-from kappa_forge.errors import DomainError, ParseError, bounded_fraction, int_digit_limit, int_digit_scope
+from kappa_forge.cli import _parse_fraction_list
+from kappa_forge.errors import (
+    DomainError, ParseError, bounded_fraction, clip, int_digit_limit, int_digit_scope,
+)
 from kappa_forge.localization import (
     GAMMA,
     FixedComponent,
@@ -248,3 +253,54 @@ def test_data_files_keep_the_4300_digit_bound_under_a_lifted_limit(tmp_path):
         assert read_fixed_point_file(out).data == data
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def parse_every_token_as_a_fraction(text):
+    """The ``--b`` reader before integer literals stayed ints: every token through bounded_fraction."""
+    out = []
+    for token in text.split(","):
+        token = token.strip()
+        try:
+            out.append(bounded_fraction(token))
+        except ParseError:
+            raise
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational '{clip(token)}'") from None
+    return out
+
+
+def outcome(parse, text):
+    try:
+        return [(x, str(x)) for x in parse(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+DIGITS = st.one_of(
+    st.text(st.sampled_from("0123456789"), min_size=1, max_size=30),
+    # non-ASCII decimal digits (Arabic-Indic, Devanagari, fullwidth), mixed with ASCII ones
+    st.text(st.sampled_from("0123456789\u0663\u0969\uff17"), min_size=1, max_size=12),
+    st.text(st.sampled_from("0123456789_"), min_size=1, max_size=12),  # 1_0 is no int literal here
+    st.builds(lambda n, d: d * n, st.sampled_from([4299, 4300, 4301]), st.sampled_from("019")),
+    st.builds(lambda n: "1" + "0" * (n - 1), st.sampled_from([4300, 4301])),
+)
+TOKENS = st.one_of(
+    st.builds(
+        lambda lead, sign, digits, trail: lead + sign + digits + trail,
+        st.sampled_from(["", " ", "\t", "\u2003"]),
+        st.sampled_from(["", "+", "-", "--", "+-"]),
+        DIGITS,
+        st.sampled_from(["", " ", "\n", "\u00a0"]),
+    ),
+    st.sampled_from(["", "-", "1/2", "-3/6", "1/0", "2.5", "1e3", "1 0", "x", "\u00b2", "1_", "_1"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(TOKENS, min_size=1, max_size=3), lifted=st.booleans())
+def test_integer_literals_read_as_the_fraction_reader_read_them(tokens, lifted):
+    # cli.main lifts the interpreter's digit limit; a library caller may not
+    text = ",".join(tokens)
+    with int_digit_scope(0 if lifted else int_digit_limit()):
+        expected = outcome(parse_every_token_as_a_fraction, text)
+        assert outcome(_parse_fraction_list, text) == expected

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,25 @@ def test_bvector_parsing_and_formatting():
     assert len(b) == 3
 
 
+def test_int_entries_stay_int_and_read_as_the_same_fractions():
+    ints, fractions = BVector((1, 2)), BVector((Fraction(1), Fraction(2)))
+    assert [type(x) for x in ints] == [int, int]
+    assert [type(x) for x in fractions] == [Fraction, Fraction]
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert str(ints) == str(fractions) == "1,2"
+    certificates = [nonkinetic_certificate(b, 3, ALL_FLAGS) for b in (ints, fractions)]
+    verdicts = [theorem_a_check(b, ALL_FLAGS) for b in (ints, fractions)]
+    for results in (certificates, verdicts):
+        first, second = (json.dumps(r.to_json_dict(), indent=2, sort_keys=True) for r in results)
+        assert first == second
+    assert [type(x) for x in certificates[0].b_transformed] == [int, int]
+    # bool and float are still refused, and any other entry still becomes a Fraction
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError):
+            BVector((1, bad))
+    assert type(BVector(("2",)).entries[0]) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # result types: frozen records with the dataclass behaviour
 # ---------------------------------------------------------------------------
@@ -350,7 +370,7 @@ FLAGS_TEXT = (
     [
         (
             BVector((1, Fraction(1, 2))),
-            "BVector(entries=(Fraction(1, 1), Fraction(1, 2)))",
+            "BVector(entries=(1, Fraction(1, 2)))",
         ),
         (
             HypothesisFlags(True, False, True),
@@ -366,8 +386,8 @@ FLAGS_TEXT = (
         ),
         (
             nonkinetic_certificate(BVector((1, 2)), 3, ALL_FLAGS),
-            "Certificate(k=3, b_base=BVector(entries=(Fraction(1, 1), Fraction(2, 1))), "
-            "b_transformed=BVector(entries=(Fraction(9, 1), Fraction(162, 1))), gcd=9, "
+            "Certificate(k=3, b_base=BVector(entries=(1, 2)), "
+            "b_transformed=BVector(entries=(9, 162)), gcd=9, "
             f"witness_prime=3, hypotheses={FLAGS_TEXT}, conclusion='non-kinetic')",
         ),
         (NotApplicable("no flags"), "NotApplicable(reason='no flags')"),

@@ -211,6 +211,54 @@ def test_betti_loads_no_json_and_no_fractions():
     assert run_probe(STDLIB_PROBE, argv) & {"json", "fractions", "decimal"} == set()
 
 
+# an integral b-vector, what an action yields, is read as ints: no fractions (with the
+# decimal and numbers it loads), and no re unless json brings it
+INTEGRAL_B_CALLS = [
+    ["theorem-a", "--b", "9,18", FLAGS],
+    ["adams", "--k", "3", "--b", "1,2"],
+    ["adams", "--k", "3", "--b", "1,2", "--certify", FLAGS],
+]
+
+
+@pytest.mark.parametrize("argv", INTEGRAL_B_CALLS, ids=lambda v: " ".join(v[:6]))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_integral_b_loads_no_fractions(argv, fmt):
+    loaded = run_probe(RUN_PROBE, [*argv, "--format", fmt])
+    assert loaded & {"fractions", "decimal", "_decimal", "numbers"} == set()
+    if fmt == "text":
+        assert "re" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["theorem-a", "--b", "1/2,3", FLAGS], ["adams", "--k", "3", "--b", "1,2/3"]],
+    ids=lambda v: v[0],
+)
+def test_fractional_b_still_loads_fractions(argv):
+    assert "fractions" in run_probe(RUN_PROBE, [*argv, "--format", "text"])
+
+
+PRIME19 = 1_000_000_000_000_000_003  # a 19-digit prime
+PRIME12 = 1_000_000_000_039  # the least prime above 10^12
+
+
+@pytest.mark.parametrize(
+    "argv, searched",
+    [
+        (["theorem-a", "--b", f"{PRIME19},{-3 * PRIME19}", FLAGS], True),
+        (["theorem-a", "--b", f"{2 * PRIME19}", FLAGS], True),
+        (["adams", "--k", str(PRIME12), "--b", "1,2", "--certify", FLAGS], True),
+        # trial division up to 2^12 settles these: the prime search stays unloaded
+        (["theorem-a", "--b", "9,18", FLAGS], False),
+        (["theorem-a", "--b", f"{4093 * PRIME19}", FLAGS], False),
+        (["adams", "--k", "4095", "--b", "1,2", "--certify", FLAGS], False),
+    ],
+    ids=["prime19", "2*prime19", "k1e12", "9,18", "4093*prime19", "k4095"],
+)
+def test_prime_search_loads_only_past_trial_division(argv, searched):
+    assert ("primes" in probe(argv)) is searched
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMAND_CALLS], ids=call_id)
 def test_no_call_loads_contextlib(tmp_path, argv):
     data = tmp_path / "data.json"

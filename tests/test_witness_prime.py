@@ -7,6 +7,10 @@ prime factor above 2^30, so both sides factor them quickly.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +21,12 @@ from sympy.ntheory.primetest import is_strong_lucas_prp  # noqa: E402
 
 from kappa_forge.obstruction import (  # noqa: E402
     HypothesisFlags,
-    _is_prime,
     _smallest_odd_prime_factor,
-    _strong_lucas_probable_prime,
     nonkinetic_certificate,
 )
+from kappa_forge.primes import _is_prime, _strong_lucas_probable_prime  # noqa: E402
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # below this bound Miller-Rabin to the prime bases 2..41 is a proof
 MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
@@ -169,3 +174,17 @@ def test_certificate_witness_is_the_smallest_prime_of_k(entries, primes):
     assert cert.witness_prime == min(sympy.factorint(k))
     assert cert.gcd % cert.witness_prime == 0
     assert cert.witness_prime == reference(cert.gcd)
+
+
+def test_importing_obstruction_loads_no_prime_search():
+    # a certificate check must be able to import obstruction without the factoring code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, kappa_forge.obstruction as o; "
+        "print('kappa_forge.primes' in sys.modules, o._smallest_odd_prime_factor(9 * 4093), "
+        "'kappa_forge.primes' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.split() == ["False", "3", "False"]
