@@ -27,7 +27,8 @@ help or a usage error.
 
 A process enters through :func:`run` (the ``kappa-forge`` script and
 ``python -m kappa_forge.cli``); :func:`main` is the call for tests and
-library callers.
+library callers.  Each handler returns (payload, text lines, ok), and
+``main`` alone writes it and maps ok to exit 0, else 1.
 """
 
 from __future__ import annotations
@@ -48,20 +49,6 @@ _FLAG_TOKENS = {
     "neg-euler": "negative_euler_char",
     "nontrivial-action": "nontrivial_action_assumed",
 }
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _emit(args, payload, lines) -> None:
-    if args.format == "json":
-        import json
-
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _parse_fraction_list(text: str) -> list:
@@ -98,10 +85,11 @@ def _parse_flags(text):
     from .obstruction import HypothesisFlags
 
     if text is None:
-        _warn(
-            "hypothesis flags not given; defaulting to "
+        print(
+            "warning: hypothesis flags not given; defaulting to "
             "rationally-odd,neg-euler,nontrivial-action. The verdict "
-            "obstructs an action only when these actually hold."
+            "obstructs an action only when these actually hold.",
+            file=sys.stderr,
         )
         return HypothesisFlags.all_true()
     values = {name: False for name in _FLAG_TOKENS.values()}
@@ -117,55 +105,49 @@ def _parse_flags(text):
     return HypothesisFlags(**values)
 
 
-def _load_file(path):
-    from .localization import read_fixed_point_file, validate_fixed_data
-
-    loaded = read_fixed_point_file(path)
-    diagnostics = validate_fixed_data(loaded.data)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise ParseError(f"'{path}': " + "; ".join(d.message for d in errors))
-    notes = [f"{path}: {d.message}" for d in diagnostics if d.severity == "info"]
-    return loaded, notes
-
-
-def _run_inputs(args, per_file) -> int:
+def _run_inputs(args, per_file):
     """Run ``per_file(path, loaded, prefix)`` on each --input file, in order.
 
     ``per_file`` returns (payload, text lines, ok); ``prefix`` is "path: "
-    when there are several files.  Validation notes go to stderr, one file
-    emits its payload and several emit a list; any file not ok exits 1.
+    when there are several files.  Validation notes go to stderr.  The
+    result is one file's payload or a list of several, every file's lines,
+    and ok when every file is; an unusable file raises ParseError.
 
     Each file's step runs with the cyclic collector paused, and the file's
     data is dropped before it resumes: reference counting frees the rows,
     so no collection walks them.
     """
-    from .localization import _gc_paused
+    from .localization import _gc_paused, _require_usable, read_fixed_point_file, validate_fixed_data
 
     prefix_paths = len(args.input) > 1
     notes, payloads, lines, ok = [], [], [], True
     for path in args.input:
         with _gc_paused():
-            loaded, file_notes = _load_file(path)
+            loaded = read_fixed_point_file(path)
+            # validated first, so _require_usable reads the diagnostics kept on the data
+            diagnostics = validate_fixed_data(loaded.data)
+            try:
+                _require_usable(loaded.data)
+            except DomainError as exc:
+                raise ParseError(f"'{path}': {exc}") from None
             payload, file_lines, file_ok = per_file(
                 path, loaded, f"{path}: " if prefix_paths else ""
             )
             del loaded
-        notes.extend(file_notes)
+        notes.extend(f"{path}: {d.message}" for d in diagnostics if d.severity == "info")
         payloads.append(payload)
         lines.extend(file_lines)
         ok = ok and file_ok
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    _emit(args, payloads if prefix_paths else payloads[0], lines)
-    return 0 if ok else 1
+    return payloads if prefix_paths else payloads[0], lines, ok
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_sigma(args) -> int:
+def cmd_sigma(args):
     from .symalg import parse_class_monomial, sigma_eval
 
     weights = parse_weight_list(args.weights)
@@ -177,11 +159,10 @@ def cmd_sigma(args) -> int:
         "sigma": value,
         "weights": weights,
     }
-    _emit(args, payload, [str(value)])
-    return 0
+    return payload, [str(value)], True
 
 
-def cmd_localize(args) -> int:
+def cmd_localize(args):
     from .localization import compare_expected, kappa_class_label, localize_circle
     from .symalg import parse_class_monomial
 
@@ -193,7 +174,7 @@ def cmd_localize(args) -> int:
             label = kappa_class_label(monomial)
             payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
             return payload, [prefix + _kappa_text(label, kv)], True
-        if loaded.expected is None:
+        if not loaded.expected:
             raise ParseError(
                 f"'{path}': no --class given and the file carries no "
                 "expected annotations"
@@ -226,7 +207,7 @@ def cmd_localize(args) -> int:
     return _run_inputs(args, per_file)
 
 
-def cmd_pullback_su2(args) -> int:
+def cmd_pullback_su2(args):
     from .localization import kappa_class_label, pullback_su2
 
     def per_file(path, loaded, prefix):
@@ -248,7 +229,7 @@ def cmd_pullback_su2(args) -> int:
     return _run_inputs(args, per_file)
 
 
-def cmd_theorem_a(args) -> int:
+def cmd_theorem_a(args):
     from .obstruction import BVector, theorem_a_check
 
     b = BVector.of(_parse_fraction_list(args.b))
@@ -262,11 +243,10 @@ def cmd_theorem_a(args) -> int:
             "note: hypothesis flags incomplete; this is arithmetic only, "
             "not an obstruction"
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def cmd_adams(args) -> int:
+def cmd_adams(args):
     from .obstruction import BVector, Certificate, adams_transform, nonkinetic_certificate
 
     b = BVector.of(_parse_fraction_list(args.b))
@@ -277,8 +257,7 @@ def cmd_adams(args) -> int:
             "b_transformed": [str(x) for x in transformed],
             "k": args.k,
         }
-        _emit(args, payload, [str(transformed)])
-        return 0
+        return payload, [str(transformed)], True
     flags = _parse_flags(args.flags)
     result = nonkinetic_certificate(b, args.k, flags)
     if isinstance(result, Certificate):
@@ -290,23 +269,21 @@ def cmd_adams(args) -> int:
             f"b_base = {result.b_base}",
             f"b_transformed = {result.b_transformed}",
         ]
-        _emit(args, result.to_json_dict(), lines)
     else:
-        _emit(args, result.to_json_dict(), [f"not applicable: {result.reason}"])
-    return 0
+        lines = [f"not applicable: {result.reason}"]
+    return result.to_json_dict(), lines, True
 
 
-def cmd_su2_restrict(args) -> int:
+def cmd_su2_restrict(args):
     from .su2rep import parse_real_rep, restrict_to_torus
 
     rep = parse_real_rep(args.rep)
     weights = restrict_to_torus(rep)
     payload = {"rep": str(rep), "weights": list(weights.entries)}
-    _emit(args, payload, [str(weights)])
-    return 0
+    return payload, [str(weights)], True
 
 
-def cmd_su2_realize(args) -> int:
+def cmd_su2_realize(args):
     from .su2rep import parse_weight_multiset, realize_weights
 
     weights = parse_weight_multiset(args.weights)
@@ -316,11 +293,10 @@ def cmd_su2_realize(args) -> int:
         "rep": None if rep is None else str(rep),
         "weights": list(weights.entries),
     }
-    _emit(args, payload, [str(rep) if rep is not None else "infeasible"])
-    return 0
+    return payload, [str(rep) if rep is not None else "infeasible"], True
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args):
     from .obstruction import betti_feasible
 
     result = betti_feasible(args.w_even, args.w_odd, args.m_even, args.m_odd)
@@ -339,20 +315,19 @@ def cmd_betti(args) -> int:
             "infeasible: the even and odd Betti sums must drop by the same "
             "non-negative amount"
         ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def cmd_catalog_s2xs2(args) -> int:
+def cmd_catalog_s2xs2(args):
     import json
 
     from .catalog import s2xs2_family
     from .localization import kappa_class_label
 
     entry = s2xs2_family(args.k)
-    if args.out is None:
-        print(json.dumps(entry.to_payload(), indent=2, sort_keys=True))
-        return 0
+    if args.out is None:  # the data file itself, in either format
+        payload = entry.to_payload()
+        return payload, [json.dumps(payload, indent=2, sort_keys=True)], True
     entry.write(args.out)
     expected_lines = [
         "expected " + _kappa_text(kappa_class_label(ev.class_monomial), ev)
@@ -363,11 +338,10 @@ def cmd_catalog_s2xs2(args) -> int:
         "label": entry.label,
         "out": str(args.out),
     }
-    _emit(args, payload, [f"wrote {args.out}"] + expected_lines)
-    return 0
+    return payload, [f"wrote {args.out}"] + expected_lines, True
 
 
-def cmd_catalog_wg(args) -> int:
+def cmd_catalog_wg(args):
     from .catalog import wg_hypothesis_report
 
     report = wg_hypothesis_report(args.n, args.g)
@@ -387,8 +361,7 @@ def cmd_catalog_wg(args) -> int:
             "obstruction hypotheses: not satisfied "
             f"(euler characteristic {report.euler_char} is not negative)"
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +570,20 @@ def main(argv=None) -> int:
             args.format = args.format or os.environ.get(FORMAT_ENV) or "text"
             if args.format not in FORMATS:
                 raise ParseError(f"bad output format '{args.format}' (expected 'text' or 'json')")
-            return args.handler(args)
+            payload, lines, ok = args.handler(args)
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        if args.format == "json":
+            import json
+
+            lines = [json.dumps(payload, indent=2, sort_keys=True)]
+        for line in lines:
+            print(line)
+        return 0 if ok else 1
 
 
 def run() -> None:

@@ -33,6 +33,7 @@ from .errors import (
 from .symalg import (
     CharClassMonomial,
     WeightVector,
+    _half_dim,
     parse_class_monomial,
     reduce_monomial,
     sigma_eval,
@@ -101,10 +102,7 @@ class FixedPointData(Record):
     components = property(_view, _split)
 
     def __post_init__(self):
-        n = strict_index(self.fiber_half_dim)
-        if n < 1:
-            raise DomainError(f"fiber half-dimension must be >= 1, got {n}")
-        object.__setattr__(self, "fiber_half_dim", n)
+        object.__setattr__(self, "fiber_half_dim", _half_dim(self.fiber_half_dim))
         if self.fiber_euler_char is not None:
             object.__setattr__(self, "fiber_euler_char", strict_index(self.fiber_euler_char))
 

@@ -387,6 +387,48 @@ def test_localize_without_class_or_expected_is_parse_error(capsys, tmp_path):
     assert "expected" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_localize_empty_expected_is_parse_error(capsys, tmp_path, fmt):
+    # an empty array checks nothing, so it is refused like a missing one
+    path = tmp_path / "empty.json"
+    path.write_text(
+        json.dumps(
+            {
+                "fiber_half_dim": 2,
+                "components": [{"name": "m", "euler_char": 1, "weights": [1, 1]}],
+                "expected": [],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["localize", "--input", str(path), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: '{path}': no --class given and the file carries no expected annotations\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_later_unusable_file_writes_nothing(capsys, tmp_path, fmt):
+    good = tmp_path / "good.json"
+    run(capsys, ["catalog", "s2xs2", "--k", "2", "--out", str(good)])
+    bad = tmp_path / "bad_chi.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "fiber_half_dim": 1,
+                "fiber_euler_char": 5,
+                "components": [{"name": "m", "euler_char": 1, "weights": [1]}],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["localize", "--input", str(good), str(bad), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: '{bad}': Euler characteristic mismatch: components sum to 1, "
+        "fiber_euler_char is 5\n"
+    )
+
+
 def test_localize_unknown_key_is_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"fiber_half_dim": 2, "components": [], "spin": 1}))

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from kappa_forge import symalg
 from kappa_forge.errors import DomainError, ParseError
-from kappa_forge.localization import C2, GAMMA, KappaValue, compare_expected, localize_circle
+from kappa_forge.localization import (
+    C2, GAMMA, FixedPointData, KappaValue, compare_expected, localize_circle,
+)
 from kappa_forge.symalg import (
     CharClassMonomial,
     parse_class_monomial,
@@ -221,7 +223,9 @@ def test_builders_check_the_half_dimension(build):
         build()
 
 
-@pytest.mark.parametrize("build", [CharClassMonomial.one, CharClassMonomial.euler])
+@pytest.mark.parametrize(
+    "build", [CharClassMonomial.one, CharClassMonomial.euler, lambda n: FixedPointData(n, ())]
+)
 def test_builders_refuse_a_half_dimension_below_one(build):
     with pytest.raises(DomainError, match="fiber half-dimension must be >= 1, got 0"):
         build(0)

@@ -405,8 +405,11 @@ def test_record_defaults_and_normalization():
     cert = nonkinetic_certificate(BVector((1, 2)), 3, ALL_FLAGS)
     assert cert.conclusion == "non-kinetic"
     assert Certificate(*[getattr(cert, f) for f in Certificate.__slots__[:-1]]) == cert
-    # __post_init__ still runs: entries become Fractions, and a bad verdict is refused
-    assert BVector(entries=(1, "1/2")).entries == (Fraction(1), Fraction(1, 2))
+    # __post_init__ still runs: an integer entry stays int, the rest become Fractions,
+    # and a bad verdict is refused
+    entries = BVector(entries=(1, "1/2")).entries
+    assert entries == (Fraction(1), Fraction(1, 2))
+    assert [type(x) for x in entries] == [int, Fraction]
     with pytest.raises(DomainError):
         Verdict(RULED_OUT, (), True)
     assert HypothesisFlags(True, False, True).to_json_dict() == {
