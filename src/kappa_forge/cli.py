@@ -26,9 +26,10 @@ argparse, with the gettext and locale it loads, is imported only to print
 help or a usage error.
 
 A process enters through :func:`run` (the ``kappa-forge`` script and
-``python -m kappa_forge.cli``); :func:`main` is the call for tests and
-library callers.  Each handler returns (payload, text lines, ok), and
-``main`` alone writes it and maps ok to exit 0, else 1.
+``python -m kappa_forge.cli``), which alone sets the garbage collector;
+:func:`main` is the call for tests and library callers.  Each handler
+returns (payload, text lines, ok), and ``main`` alone writes it and maps
+ok to exit 0, else 1.
 """
 
 from __future__ import annotations
@@ -112,28 +113,22 @@ def _run_inputs(args, per_file):
     when there are several files.  Validation notes go to stderr.  The
     result is one file's payload or a list of several, every file's lines,
     and ok when every file is; an unusable file raises ParseError.
-
-    Each file's step runs with the cyclic collector paused, and the file's
-    data is dropped before it resumes: reference counting frees the rows,
-    so no collection walks them.
     """
-    from .localization import _gc_paused, _require_usable, read_fixed_point_file, validate_fixed_data
+    from .localization import _require_usable, read_fixed_point_file, validate_fixed_data
 
     prefix_paths = len(args.input) > 1
     notes, payloads, lines, ok = [], [], [], True
     for path in args.input:
-        with _gc_paused():
-            loaded = read_fixed_point_file(path)
-            # validated first, so _require_usable reads the diagnostics kept on the data
-            diagnostics = validate_fixed_data(loaded.data)
-            try:
-                _require_usable(loaded.data)
-            except DomainError as exc:
-                raise ParseError(f"'{path}': {exc}") from None
-            payload, file_lines, file_ok = per_file(
-                path, loaded, f"{path}: " if prefix_paths else ""
-            )
-            del loaded
+        loaded = read_fixed_point_file(path)
+        # validated first, so _require_usable reads the diagnostics kept on the data
+        diagnostics = validate_fixed_data(loaded.data)
+        try:
+            _require_usable(loaded.data)
+        except DomainError as exc:
+            raise ParseError(f"'{path}': {exc}") from None
+        payload, file_lines, file_ok = per_file(
+            path, loaded, f"{path}: " if prefix_paths else ""
+        )
         notes.extend(f"{path}: {d.message}" for d in diagnostics if d.severity == "info")
         payloads.append(payload)
         lines.extend(file_lines)
@@ -327,7 +322,8 @@ def cmd_catalog_s2xs2(args):
     entry = s2xs2_family(args.k)
     if args.out is None:  # the data file itself, in either format
         payload = entry.to_payload()
-        return payload, [json.dumps(payload, indent=2, sort_keys=True)], True
+        lines = [json.dumps(payload, indent=2, sort_keys=True)] if args.format == "text" else []
+        return payload, lines, True
     entry.write(args.out)
     expected_lines = [
         "expected " + _kappa_text(kappa_class_label(ev.class_monomial), ev)
@@ -589,16 +585,21 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry: :func:`main` on ``sys.argv``, a flush of stdout, then exit.
 
-    On every way out (a return, argparse's ``SystemExit``, a traceback)
-    ``gc.freeze()`` moves every tracked object into the collector's
-    permanent generation just before the interpreter finalizes, so the
-    collections that finalization runs, even with the collector disabled,
-    skip them; the operating system takes the memory back at exit.  What
-    the freeze gives up: garbage in reference cycles still alive at exit is
-    never collected, so its ``__del__`` methods do not run.  Every file a
-    handler writes is closed by its ``with`` block, and stdout is flushed
-    before the freeze.  :func:`main` never freezes, so tests and library
-    callers keep a working collector.
+    The process's cyclic garbage collector policy lives here alone.  The
+    collector is disabled before :func:`main` runs: what a call builds (a
+    decoded file, its columns, the results) holds no reference cycles, so
+    reference counting frees it, and a collection pass would free nothing
+    yet walk every row.  On every way out (a return, argparse's
+    ``SystemExit``, a traceback) ``gc.freeze()`` moves every tracked object
+    into the collector's permanent generation just before the interpreter
+    finalizes, so the collections that finalization runs, even with the
+    collector disabled, skip them; the operating system takes the memory
+    back at exit.  What this gives up: garbage in reference cycles made
+    during the call is held until exit and never collected, so its
+    ``__del__`` methods do not run.  Every file a handler writes is closed
+    by its ``with`` block, and stdout is flushed before the freeze.
+    :func:`main` and the library never touch the collector, so tests and
+    library callers keep their own setting.
 
     The handlers turn the ``OSError`` of every file they open into a
     ``ParseError``, so one that reaches here comes from writing the output
@@ -606,6 +607,7 @@ def run() -> None:
     output`` line on stderr and exit 1, with stdout pointed at the null
     device so that the interpreter's last flush stays silent.
     """
+    gc.disable()
     try:
         try:
             code = main()

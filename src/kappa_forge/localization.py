@@ -21,7 +21,6 @@ command-line tool and the example catalog.
 
 from __future__ import annotations
 
-import gc
 import json
 from math import prod
 
@@ -470,47 +469,21 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
     return FixedPointFile(data, expected, provenance)
 
 
-class _gc_paused:
-    """Pause the cyclic garbage collector in a ``with`` block.
-
-    A decoded JSON tree and the columns parsed from it hold no reference
-    cycles, so reference counting frees all of it and a collection pass
-    finds nothing there, yet walks every list, dict and tuple.  On exit,
-    exception or not, the collector is enabled again only if it was enabled
-    on entry, so nested blocks and a caller that disabled it keep their
-    setting.  ``__exit__`` allocates nothing the collector tracks after the
-    enable: a ``contextlib.contextmanager`` version allocates its
-    StopIteration there, which starts a collection over the whole decoded
-    tree before the reader returns.
-    """
-
-    __slots__ = ("_was_enabled",)
-
-    def __enter__(self) -> None:
-        self._was_enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self._was_enabled:
-            gc.enable()
-
-
 def read_fixed_point_file(path) -> FixedPointFile:
-    """Read and parse a fixed-point data file, with the cyclic collector paused (:class:`_gc_paused`)."""
-    with _gc_paused():
-        try:
-            with open(path, "r", encoding="utf-8") as handle, int_digit_scope(int_digit_limit()):
-                obj = json.load(handle)
-        except OSError as exc:
-            raise ParseError(f"cannot read '{path}': {exc}") from None
-        except (ValueError, RecursionError) as exc:
-            # bad JSON, non-UTF-8 bytes and over-long integers raise ValueError,
-            # deep nesting RecursionError
-            raise ParseError(f"'{path}' is not valid JSON: {exc}") from None
-        try:
-            return parse_fixed_point_payload(obj)
-        except ParseError as exc:
-            raise ParseError(f"'{path}': {exc}") from None
+    """Read and parse a fixed-point data file; the cyclic collector stays as the caller set it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle, int_digit_scope(int_digit_limit()):
+            obj = json.load(handle)
+    except OSError as exc:
+        raise ParseError(f"cannot read '{path}': {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, non-UTF-8 bytes and over-long integers raise ValueError,
+        # deep nesting RecursionError
+        raise ParseError(f"'{path}' is not valid JSON: {exc}") from None
+    try:
+        return parse_fixed_point_payload(obj)
+    except ParseError as exc:
+        raise ParseError(f"'{path}': {exc}") from None
 
 
 def fixed_point_payload(

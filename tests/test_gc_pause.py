@@ -1,21 +1,17 @@
-"""Reading fixed-point files with the cyclic garbage collector paused.
+"""The library and ``cli.main`` leave the cyclic garbage collector to their caller.
 
-A decoded JSON tree and the columns parsed from it hold no reference
-cycles, so ``read_fixed_point_file`` pauses the collector while it decodes
-and parses, and the CLI pauses it for each file's whole step and drops the
-file's data before it resumes.  These tests watch the collector through
-``gc.callbacks``: how many collections start, in which generation, and how
-many young objects each one would walk.  Whatever happens inside, the
-caller's setting comes back: enabled stays enabled, disabled stays
-disabled, also when the read fails or is interrupted.
+Only the process entry ``cli.run`` sets the collector (see
+``test_process_entry.py``).  A read of a fixed-point file, good, failing or
+interrupted, leaves the caller's setting as it found it, and a setting
+changed while a read runs, as another thread may change it, is still in
+force when the read ends.
 """
 
 import contextlib
 import gc
 import io
 import json
-import sys
-import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +19,7 @@ from kappa_forge import cli, localization
 from kappa_forge.errors import ParseError
 from kappa_forge.localization import read_fixed_point_file
 
-COMPONENTS = 30_000  # enough for a full collection inside one unpaused CLI call
+COMPONENTS = 30_000  # enough for collections inside one CLI call with the collector on
 
 
 class Interrupt(BaseException):
@@ -62,26 +58,13 @@ def quarter_files(tmp_path_factory):
 
 
 @contextlib.contextmanager
-def watched_collections(inside=None):
-    """Record ``(generation, young objects)`` of each collection that starts in the block.
-
-    With ``inside`` (a function), only collections that start while that
-    function runs count.  The young-object count is taken before the
-    collection walks them.
-    """
+def watched_collections():
+    """Record the generation of each collection that starts in the block."""
     seen = []
-    code = inside.__code__ if inside is not None else None
 
     def callback(phase, info):
-        if phase != "start":
-            return
-        if code is not None:
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not code:
-                frame = frame.f_back
-            if frame is None:
-                return
-        seen.append((info["generation"], len(gc.get_objects(generation=0))))
+        if phase == "start":
+            seen.append(info["generation"])
 
     gc.callbacks.append(callback)
     try:
@@ -99,14 +82,6 @@ def collector(enabled: bool):
         yield
     finally:
         (gc.enable if before else gc.disable)()
-
-
-def test_reading_a_large_file_starts_no_collection(big_file):
-    with collector(True), watched_collections(inside=read_fixed_point_file) as seen:
-        loaded = read_fixed_point_file(big_file)
-        assert gc.isenabled()
-    assert len(loaded.data._rows) == COMPONENTS
-    assert seen == []
 
 
 def bad_json(tmp_path):
@@ -149,7 +124,6 @@ def test_a_failed_read_restores_the_callers_setting(tmp_path, failure, enabled):
 
 def interrupt_decoding(monkeypatch):
     def load(handle):
-        assert not gc.isenabled()
         raise Interrupt
 
     monkeypatch.setattr(localization.json, "load", load)
@@ -158,7 +132,6 @@ def interrupt_decoding(monkeypatch):
 def interrupt_parsing(monkeypatch):
     # raised after every component is parsed, at the first annotation
     def parse_class_monomial(text, n):
-        assert not gc.isenabled()
         raise Interrupt
 
     monkeypatch.setattr(localization, "parse_class_monomial", parse_class_monomial)
@@ -175,42 +148,20 @@ def test_an_interrupted_read_restores_the_callers_setting(big_file, monkeypatch,
         assert gc.isenabled() is enabled
 
 
-def test_nested_pauses_resume_only_at_the_outermost():
+def disable_while_decoding(monkeypatch):
+    """Make the reader's ``json.load`` disable the collector, as another thread could meanwhile."""
+    def load(handle):
+        gc.disable()
+        return json.load(handle)
+
+    monkeypatch.setattr(localization, "json", SimpleNamespace(load=load))
+
+
+def test_a_disable_made_during_a_read_stays_in_force(big_file, monkeypatch):
+    disable_while_decoding(monkeypatch)
     with collector(True):
-        with localization._gc_paused():
-            with localization._gc_paused():
-                assert not gc.isenabled()
-            assert not gc.isenabled()
-        assert gc.isenabled()
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_concurrent_reads_leave_the_collector_as_they_found_it(tmp_path, enabled):
-    path = tmp_path / "small.json"
-    path.write_text(json.dumps(payload(2_000)), encoding="utf-8")
-    failures = []
-
-    def reader():
-        try:
-            for _ in range(10):
-                read_fixed_point_file(path)
-        except BaseException as exc:  # reported by the assertion below
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch inside every pause and resume
-    try:
-        with collector(enabled):
-            threads = [threading.Thread(target=reader) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert failures == []
-            assert gc.isenabled() is enabled
-    finally:
-        sys.setswitchinterval(interval)
+        read_fixed_point_file(big_file)
+        assert not gc.isenabled()
 
 
 def run_cli(argv):
@@ -228,16 +179,12 @@ def cli_calls(big_file, quarter_files):
 
 
 @pytest.mark.parametrize("name", ["localize", "pullback-2files"])
-def test_cli_runs_no_full_collection_and_never_walks_the_rows(big_file, quarter_files, name):
-    argv = cli_calls(big_file, quarter_files)[name]
-    with collector(True), watched_collections() as seen:
-        code, out, _ = run_cli(argv)
-        assert gc.isenabled()
+def test_a_disable_made_during_a_cli_call_stays_in_force(big_file, quarter_files, monkeypatch, name):
+    disable_while_decoding(monkeypatch)
+    with collector(True):
+        code, out, _ = run_cli(cli_calls(big_file, quarter_files)[name])
+        assert not gc.isenabled()
     assert code == 0 and out
-    # the file's rows are freed before the collector resumes: no collection
-    # finds them among the young objects, and none reaches the oldest generation
-    assert all(generation < 2 for generation, _ in seen), seen
-    assert all(young < COMPONENTS // 4 for _, young in seen), seen
 
 
 @pytest.mark.parametrize("name", ["localize", "pullback-2files"])

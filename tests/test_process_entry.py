@@ -1,4 +1,4 @@
-"""The process entry ``cli.run``: golden bytes, the collector freeze, and output failures.
+"""The process entry ``cli.run``: golden bytes, the collector policy, and output failures.
 
 Every test here but the first starts a fresh interpreter, since ``run``
 freezes the collector and ends the process.
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from kappa_forge.cli import main
+from test_gc_pause import COMPONENTS, payload
 from test_golden import ALL_FLAGS, FIXTURE, TMP, _write_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +36,7 @@ def spawn(args, env=None, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# the freeze lives in run, never in main
+# the collector policy lives in run, never in main
 # ---------------------------------------------------------------------------
 
 def test_main_never_freezes_the_collector(capsys):
@@ -78,6 +79,49 @@ def test_run_freezes_the_collector_on_every_way_out(argv, ended):
     code, frozen = proc.stderr.splitlines()[-1].split()
     assert code == ended
     assert int(frozen) > 0
+
+
+# runs run() as the script does with gc.callbacks watching, and at exit reports
+# on stderr's last line the phase ("import", "run" or "after") of each collection
+# that started; the one collect() at exit shows that the callback still listens
+COLLECTION_PROBE = """
+import atexit, gc, json, sys
+phase = "import"
+seen = []
+gc.callbacks.append(lambda stage, info: stage == "start" and seen.append(phase))
+def report():
+    gc.collect()
+    print(json.dumps(seen), file=sys.stderr)
+atexit.register(report)
+from kappa_forge import cli
+phase = "run"
+try:
+    cli.run()
+finally:
+    phase = "after"
+"""
+
+
+@pytest.fixture(scope="module")
+def big_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("entry") / "big.json"
+    path.write_text(json.dumps(payload(COMPONENTS)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", ["localize", "pullback-2files", "theorem-a"])
+def test_run_starts_no_collection(big_file, name):
+    argv = {
+        "localize": ["localize", "--input", str(big_file)],
+        "pullback-2files": ["pullback-su2", "--input", str(big_file), str(big_file), "--i", "2",
+                            "--format", "json"],
+        "theorem-a": ["theorem-a", "--b", "9,18"],
+    }[name]
+    proc = spawn(["-c", COLLECTION_PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stderr.splitlines()[-1])
+    assert "run" not in seen, seen
+    assert seen[-1] == "after"
 
 
 # ---------------------------------------------------------------------------
