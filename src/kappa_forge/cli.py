@@ -40,7 +40,7 @@ import sys
 from types import SimpleNamespace
 
 from .errors import (
-    DomainError, ParseError, bounded_fraction, clip, int_digit_limit, int_digit_scope, parse_weight_list,
+    DomainError, ParseError, clip, int_digit_limit, int_digit_scope, parse_weight_list, rational_literal,
 )
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
@@ -53,23 +53,12 @@ _FLAG_TOKENS = {
 
 
 def _parse_fraction_list(text: str) -> list:
-    """The rationals of a comma-separated ``--b``: an integer literal as an int, the rest as Fractions.
-
-    An integer within the digit limit needs neither ``fractions`` nor
-    ``re``.  A token with ``_`` is no integer literal here, since Fraction
-    refuses it before Python 3.11.
-    """
-    out, limit = [], int_digit_limit()
+    """The rationals of a comma-separated ``--b``, each read by :func:`errors.rational_literal`."""
+    out = []
     for token in text.split(","):
         token = token.strip()
-        digits = token[1:] if token[:1] in "+-" else token
-        # isdecimal() takes the digits of Fraction's \d and int(); a longer run is
-        # left to bounded_fraction, which words the refusal
-        if digits.isdecimal() and len(digits) <= limit:
-            out.append(int(token))
-            continue
         try:
-            out.append(bounded_fraction(token))
+            out.append(rational_literal(token))
         except ParseError:  # bounded_fraction's own refusal
             raise
         except (ValueError, ZeroDivisionError):

@@ -247,11 +247,15 @@ def bounded_fraction(text: str):
 
 
 def exact_rational(value):
-    """``Fraction(value)`` of an int, a Fraction or a string under the digit limit.
+    """An int as it is, else ``Fraction(value)`` of a Fraction or a string under the digit limit.
 
     A string goes through :func:`bounded_fraction`.  A ``bool`` or a
-    ``float`` raises TypeError: True is no 1, and 0.1 is no 1/10.
+    ``float`` raises TypeError: True is no 1, and 0.1 is no 1/10.  An
+    ``int`` has the equality, the hash and the text of the equal Fraction,
+    so keeping it builds none.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, (bool, float)):
         raise TypeError(f"expected an exact rational, got {value!r}")
     if isinstance(value, str):
@@ -259,6 +263,24 @@ def exact_rational(value):
     from fractions import Fraction  # here: fractions loads decimal, which betti never needs
 
     return Fraction(value)
+
+
+def rational_literal(token: str):
+    """``token`` as an int if it is an integer literal, else as :func:`bounded_fraction` reads it.
+
+    An integer literal is an optional sign and decimal digits, no more of
+    them than :func:`int_digit_limit`; it needs neither ``fractions`` nor
+    ``re``.  A token with ``_`` is none, since Fraction refuses it before
+    Python 3.11, nor is one with surrounding space.  Other text raises as
+    :func:`bounded_fraction` does.  The one copy of this rule: ``--b``
+    entries and the string coefficients of data files both go through it.
+    """
+    digits = token[1:] if token[:1] in "+-" else token
+    # isdecimal() takes the digits of Fraction's \d and int(); a longer run is
+    # left to bounded_fraction, which words the refusal
+    if digits.isdecimal() and len(digits) <= int_digit_limit():
+        return int(token)
+    return bounded_fraction(token)
 
 
 def parse_weight_list(text: str) -> list[int]:

@@ -27,7 +27,7 @@ from math import prod
 from . import _MODULE_EXPORTS
 from .errors import (
     MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, exact_rational, int_digit_limit,
-    int_digit_scope, strict_index,
+    int_digit_scope, rational_literal, strict_index,
 )
 from .symalg import (
     CharClassMonomial,
@@ -42,7 +42,7 @@ from .symalg import (
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Iterator, Optional, Sequence
+    from typing import Iterator, Optional, Sequence, Union
 
 __all__ = [*_MODULE_EXPORTS["localization"], "kappa_class_label"]
 
@@ -121,11 +121,14 @@ class KappaValue(Record):
     ``class_monomial`` is the c in kappa_{e*c}.  Over the circle the
     generator is gamma with power degree(c)/2; over SU(2) it is c2 with
     power degree(c)/4.  A file's ``expected`` annotations are KappaValues too.
+    The coefficient is taken as :func:`errors.exact_rational` takes it: an
+    ``int`` stays an ``int``, with the equality, hash and text of the equal
+    Fraction, so a localized value builds no Fraction.
     """
 
     __slots__ = ("class_monomial", "coefficient", "generator", "generator_power")
     class_monomial: CharClassMonomial
-    coefficient: Fraction
+    coefficient: Union[int, Fraction]
     generator: str
     generator_power: int
 
@@ -275,8 +278,11 @@ def gamma_to_c2(kv: KappaValue) -> KappaValue:
     return KappaValue(kv.class_monomial, kv.coefficient, C2, kv.generator_power // 2)
 
 
-def pullback_su2(d: FixedPointData, i: int) -> tuple[KappaValue, Fraction]:
-    """Kappa_{e*p_i} on c2^i together with b_i = coefficient / chi(W)."""
+def pullback_su2(d: FixedPointData, i: int) -> tuple[KappaValue, Union[int, Fraction]]:
+    """Kappa_{e*p_i} on c2^i together with b_i = coefficient / chi(W).
+
+    b_i is an ``int`` when chi(W) divides the coefficient, else a Fraction.
+    """
     n = d.fiber_half_dim
     i = strict_index(i)
     if not 1 <= i <= n:
@@ -288,7 +294,12 @@ def pullback_su2(d: FixedPointData, i: int) -> tuple[KappaValue, Fraction]:
     if d.fiber_euler_char == 0:
         raise DomainError("fiber Euler characteristic 0 leaves b_i undefined")
     kv = gamma_to_c2(localize_circle(d, CharClassMonomial.pontryagin(i, n)))
-    return kv, kv.coefficient / d.fiber_euler_char
+    b_i, rest = divmod(kv.coefficient, d.fiber_euler_char)
+    if rest:
+        from fractions import Fraction  # here: an integral b_i needs no fractions
+
+        b_i = Fraction(kv.coefficient, d.fiber_euler_char)
+    return kv, b_i
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +456,10 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
                 raise ParseError(
                     f"{where}: 'coefficient' must be an integer or a 'p/q' string"
                 )
+            coefficient = coeff_raw  # an int, which KappaValue takes as exact_rational does
             try:
-                coefficient = exact_rational(coeff_raw)
+                if isinstance(coeff_raw, str):
+                    coefficient = rational_literal(coeff_raw)
             except ParseError as exc:  # over the digit limit
                 raise ParseError(f"{where}: {exc}") from None
             except (ValueError, ZeroDivisionError):

@@ -43,17 +43,17 @@ RULED_OUT = "ruled_out"
 class BVector(SequenceRecord):
     """Exact rational coefficients b_1..b_n of the normalized kappa-values.
 
-    An ``int`` entry stays an ``int``, so an integral vector (what an action
-    yields) builds no ``Fraction``: an ``int`` has the ``denominator``, the
-    equality, the hash and the text of the equal ``Fraction``.  Every other
-    entry is taken as :func:`errors.exact_rational` takes it.
+    Each entry is taken as :func:`errors.exact_rational` takes it: an
+    ``int`` entry stays an ``int``, so an integral vector (what an action
+    yields) builds no ``Fraction``; an ``int`` has the ``denominator``, the
+    equality, the hash and the text of the equal ``Fraction``.
     """
 
     __slots__ = ("entries",)
     entries: tuple[Union[int, Fraction], ...]
 
     def __post_init__(self):
-        entries = tuple(x if type(x) is int else exact_rational(x) for x in self.entries)
+        entries = tuple(map(exact_rational, self.entries))
         if not entries:
             raise DomainError("b-vector must have at least one entry")
         object.__setattr__(self, "entries", entries)

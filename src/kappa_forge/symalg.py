@@ -13,6 +13,11 @@ integer:
 extended multiplicatively over monomial factors.  This is consistent with
 e^2 = p_n because sigma_e^2 equals sigma_n of the squares.
 
+The sigma_i a set of monomials needs, for i from their lowest p-index to
+their highest, come from one pass over the squares: forward from sigma_0,
+as prod(1 + v*t), or from sigma_n down, as the low-degree coefficients of
+prod(v + s), whichever takes fewer multiply-adds.
+
 All arithmetic is exact (arbitrary-precision integers).  The divisibility
 tests built on these numbers downstream would be meaningless with floats,
 and sigma_i of squared weights overflows 64 bits already for modest input.
@@ -186,6 +191,25 @@ def _elementary_upto(top: int, values: Sequence[int]) -> list[int]:
     return coeffs
 
 
+def _elementary_down(low: int, values: Sequence[int]) -> list[int]:
+    """[sigma_low, ..., sigma_n] of the n ``values``, from the low-degree end of prod(v + s).
+
+    The coefficient of s^j in prod(v + s) is sigma_{n-j}, so the
+    coefficients of degree 0..n-low are the top sigmas: each value updates
+    them by c_j <- v*c_j + c_{j-1}, then c_0 <- v*c_0.  As in
+    :func:`_elementary_upto`, before the m-th value (from 0) only c_0..c_m
+    can be non-zero, so the update stops at c_{m+1}.  sigma_n alone
+    (low = n) takes one product per value.
+    """
+    depth = len(values) - low
+    coeffs = [1] + [0] * depth
+    for m, v in enumerate(values):
+        for j in range(min(depth, m + 1), 0, -1):
+            coeffs[j] = v * coeffs[j] + coeffs[j - 1]
+        coeffs[0] *= v
+    return coeffs[::-1]
+
+
 def elementary_symmetric(i: int, values: Iterable[int]) -> int:
     """The i-th elementary symmetric polynomial of the given integers, exactly.
 
@@ -272,23 +296,35 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
     """:func:`sigma_eval` of every monomial against the same weights, from one shared pass.
 
     Every monomial's fiber dimension is checked against ``w`` first; then
-    one truncated pass up to the largest p-index ``top`` among them gives
-    every factor: O(n*top) big-integer multiply-adds in all, not per monomial.
-    Each monomial's top index and non-zero factors come from the analysis
-    made when it was built (:class:`CharClassMonomial`), so no call scans
-    its n exponents.
+    one truncated pass gives every factor, for all monomials at once.  The
+    pass covers the p-indices ``low``..``top`` the monomials use: forward
+    from sigma_0 up to ``top`` (:func:`_elementary_upto`), about n*top
+    big-integer multiply-adds, or from sigma_n down to ``low``
+    (:func:`_elementary_down`), about n*(n-low+1), whichever needs fewer;
+    a tie goes forward.  So p_n alone costs n products.  Each monomial's top
+    index and non-zero factors come from the analysis made when it was
+    built (:class:`CharClassMonomial`), so no call scans its n exponents.
     """
     w = WeightVector.of(w)
     n = len(w.weights)
-    top, needs_euler = 0, False
+    top, low, needs_euler = 0, n, False
     for c in monomials:
         if c.fiber_half_dim != n:
             raise DomainError(
                 f"weight vector has {n} entries, monomial expects {c.fiber_half_dim}"
             )
-        top = max(top, c._factors[0])
+        c_top, factors = c._factors
+        if c_top > top:
+            top = c_top
+        if factors and factors[0][0] < low:
+            low = factors[0][0]
         needs_euler = needs_euler or c.e_exponent > 0
-    e = _elementary_upto(top, [a * a for a in w.weights])
+    squares = [a * a for a in w.weights]
+    if n - low + 1 < top:
+        # e[1..low-1] is no factor of any monomial and is never read
+        e = [1] + [0] * (low - 1) + _elementary_down(low, squares)
+    else:
+        e = _elementary_upto(top, squares)
     euler = prod(w.weights) if needs_euler else 1
     return [_eval_from(c, e, euler) for c in monomials]
 

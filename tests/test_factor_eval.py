@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from kappa_forge import symalg
 from kappa_forge.errors import DomainError, ParseError
 from kappa_forge.localization import (
-    C2, GAMMA, FixedPointData, KappaValue, compare_expected, localize_circle,
+    C2, GAMMA, FixedComponent, FixedPointData, KappaValue, compare_expected, localize_circle,
+    pullback_su2,
 )
 from kappa_forge.symalg import (
     CharClassMonomial,
@@ -120,6 +121,89 @@ def test_runs_fold_in_before_each_checked_power(text, w, refused):
         got = outcome(sigma_eval, c, w)
         assert got == outcome(oracles.sigma_eval, c, w)
     assert isinstance(got, tuple) == refused
+
+
+@st.composite
+def deep_monomials(draw, n):
+    """A monomial of high p-indices, where the pass from sigma_n down is the cheaper one.
+
+    A single p_i with i > n/2, p_n, or every p_i with i in {j..n}, each to a
+    power from 1 to 3; e, e^2 and the empty monomial come along.
+    """
+    exps, e_exp = [0] * n, 0
+    kind = draw(st.sampled_from(["single", "top", "tail", "one", "euler"]))
+    if kind == "single":
+        exps[draw(st.integers(n // 2 + 1, n)) - 1] = draw(st.integers(1, 3))
+    elif kind == "top":
+        exps[-1] = draw(st.integers(1, 3))
+    elif kind == "tail":
+        for i in range(draw(st.integers(1, n)) - 1, n):
+            exps[i] = draw(st.integers(1, 3))
+    elif kind == "euler":
+        e_exp = draw(st.integers(1, 2))
+    if kind != "one" and draw(st.booleans()):
+        e_exp = draw(st.integers(0, 2))
+    return CharClassMonomial(n, tuple(exps), e_exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10), data=st.data(), small=st.booleans())
+def test_sigma_eval_many_of_high_indices_matches_the_full_scan(n, data, small):
+    w = data.draw(weights(n))  # zero weights included
+    cs = data.draw(st.lists(deep_monomials(n), min_size=1, max_size=4))
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            mp.setattr(symalg, "MAX_VALUE_BITS", SMALL_LIMIT)
+        assert outcome(sigma_eval_many, cs, w) == outcome(oracles.sigma_eval_many, cs, w)
+
+
+def passes_taken(call):
+    """The result of ``call()`` and the names of the sigma passes it ran, in order."""
+    calls = []
+
+    def spy(name):
+        real = getattr(symalg, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_elementary_upto", "_elementary_down"):
+            mp.setattr(symalg, name, spy(name))
+        return call(), calls
+
+
+UP, DOWN = "_elementary_upto", "_elementary_down"
+
+
+@pytest.mark.parametrize(
+    "n, texts, pass_taken",
+    [
+        (4, ["p4"], DOWN),  # n*1 against n*4
+        (4, ["p3", "e", "1"], DOWN),  # n*2 against n*3
+        (4, ["p2*p3"], UP),  # n*3 against n*3: a tie goes forward
+        (4, ["p4", "p2"], DOWN),  # p2..p4: n*3 against n*4
+        (4, ["p4", "p1"], UP),
+        (1, ["p1"], UP),
+        (4, ["e^2", "1"], UP),  # no p-factor: the forward pass stops at sigma_0
+    ],
+    ids=["p4", "p3,e,1", "p2*p3-tie", "p4,p2", "p4,p1", "n1-p1", "e^2,1"],
+)
+def test_the_pass_with_fewer_multiply_adds_is_taken(n, texts, pass_taken):
+    cs = [parse_class_monomial(text, n) for text in texts]
+    w = (3, -1, 0, 2)[:n]
+    values, calls = passes_taken(lambda: sigma_eval_many(cs, w))
+    assert calls == [pass_taken]
+    assert values == oracles.sigma_eval_many(cs, w)
+
+
+def test_pullback_of_p_n_skips_the_forward_pass_and_of_p1_the_top_down_one():
+    rows = [(1, 2, 3, 4), (0, 5, -6, 7), (2, 2, 2, 2), (1000, -1, 3, 2**40)]
+    components = tuple(FixedComponent(f"m{j}", j - 1, w) for j, w in enumerate(rows))
+    d = FixedPointData(4, components, fiber_euler_char=2)
+    for i, pass_taken in ((4, DOWN), (1, UP)):
+        (kv, b_i), calls = passes_taken(lambda: pullback_su2(d, i))
+        assert calls == [pass_taken] * len(rows)
+        expected = oracles.localize_circle(d, CharClassMonomial.pontryagin(i, 4)).coefficient
+        assert kv.coefficient == expected and b_i == Fraction(expected, 2)
 
 
 def test_analysis_slot_stays_out_of_sight():

@@ -9,6 +9,7 @@ digit limit raises ParseError, an exponent form before Fraction builds the
 number.
 """
 
+import re
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from kappa_forge.localization import (
     FixedComponent,
     FixedPointData,
     KappaValue,
+    parse_fixed_point_payload,
     pullback_su2,
     read_fixed_point_file,
     write_fixed_point_file,
@@ -44,6 +46,8 @@ from kappa_forge.obstruction import (
 )
 from kappa_forge.su2rep import RealRep, WeightMultiset
 from kappa_forge.symalg import CharClassMonomial, WeightVector, elementary_symmetric
+
+import oracles
 
 P1 = CharClassMonomial(2, (1, 0))
 S2XS2 = s2xs2_family(2).data
@@ -255,6 +259,12 @@ def test_data_files_keep_the_4300_digit_bound_under_a_lifted_limit(tmp_path):
         sys.set_int_max_str_digits(previous)
 
 
+def is_integer_literal(token):
+    """An optional sign and decimal digits, no more of them than the digit limit."""
+    digits = token.lstrip("+-")
+    return re.fullmatch(r"[+-]?\d+", token) is not None and len(digits) <= int_digit_limit()
+
+
 def parse_every_token_as_a_fraction(text):
     """The ``--b`` reader before integer literals stayed ints: every token through bounded_fraction."""
     out = []
@@ -303,4 +313,32 @@ def test_integer_literals_read_as_the_fraction_reader_read_them(tokens, lifted):
     text = ",".join(tokens)
     with int_digit_scope(0 if lifted else int_digit_limit()):
         expected = outcome(parse_every_token_as_a_fraction, text)
-        assert outcome(_parse_fraction_list, text) == expected
+        got = outcome(_parse_fraction_list, text)
+        assert got == expected
+        if not isinstance(got, str):
+            assert [type(x) is int for x, _ in got] == [is_integer_literal(t.strip()) for t in tokens]
+
+
+def coefficient_outcome(parse, token):
+    """The ``expected`` coefficient ``parse`` reads from the string ``token``, or its refusal's text."""
+    payload = {
+        "fiber_half_dim": 1,
+        "components": [],
+        "expected": [{"class": "p1", "coefficient": token, "generator": "gamma", "power": 2}],
+    }
+    try:
+        return parse(payload).expected[0].coefficient
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=TOKENS, lifted=st.booleans())
+def test_file_coefficients_read_as_the_fraction_reader_read_them(token, lifted):
+    # the reference parser reads every string coefficient through bounded_fraction
+    with int_digit_scope(0 if lifted else int_digit_limit()):
+        expected = coefficient_outcome(oracles.parse_fixed_point_payload, token)
+        got = coefficient_outcome(parse_fixed_point_payload, token)
+        assert got == expected
+        if not isinstance(got, str):
+            assert (type(got) is int) == is_integer_literal(token)

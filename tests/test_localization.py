@@ -425,7 +425,7 @@ HALF_TEXT = (
     "generator_power=2)"
 )
 C2_TEXT = (
-    f"KappaValue(class_monomial={P1_TEXT}, coefficient=Fraction(20, 1), generator='c2', "
+    f"KappaValue(class_monomial={P1_TEXT}, coefficient=20, generator='c2', "
     "generator_power=1)"
 )
 

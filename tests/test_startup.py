@@ -238,6 +238,49 @@ def test_fractional_b_still_loads_fractions(argv):
     assert "fractions" in run_probe(RUN_PROBE, [*argv, "--format", "text"])
 
 
+# a file of integral data, with an integral expected coefficient and chi = 4 dividing
+# the p1 coefficient 20, is localized with ints only
+INTEGRAL_FILE_CALLS = [
+    ["localize", "--input", "{data}"],
+    ["localize", "--input", "{data}", "--class", "p1"],
+    ["pullback-su2", "--input", "{data}", "--i", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", INTEGRAL_FILE_CALLS, ids=lambda v: " ".join(v[:1] + v[3:]))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_integral_file_loads_no_fractions(tmp_path, argv, fmt):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(DATA))
+    argv = [a.replace("{data}", str(data)) for a in argv]
+    loaded = run_probe(RUN_PROBE, [*argv, "--format", fmt])
+    assert loaded & {"fractions", "decimal", "_decimal", "numbers"} == set()
+
+
+FRACTIONAL_FILES = {
+    # "40/2" is 20, so the check passes, but the text is no integer literal
+    "expected-40/2": (
+        dict(DATA, expected=[{**DATA["expected"][0], "coefficient": "40/2"}]),
+        ["localize", "--input", "{data}"],
+    ),
+    # p1 is 5 on each (2, 1) row and 8 on (2, 2): 23, which chi = 4 does not divide
+    "b1=23/4": (
+        dict(DATA, components=[
+            *DATA["components"][:3], {"name": "q", "euler_char": 1, "weights": [2, 2]},
+        ]),
+        ["pullback-su2", "--input", "{data}", "--i", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("payload, argv", FRACTIONAL_FILES.values(), ids=FRACTIONAL_FILES.keys())
+def test_fractional_file_value_still_loads_fractions(tmp_path, payload, argv):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(payload))
+    argv = [a.replace("{data}", str(data)) for a in argv]
+    assert "fractions" in run_probe(RUN_PROBE, [*argv, "--format", "text"])
+
+
 PRIME19 = 1_000_000_000_000_000_003  # a 19-digit prime
 PRIME12 = 1_000_000_000_039  # the least prime above 10^12
 
