@@ -13,30 +13,23 @@ bookkeeping is generated for them: Euler characteristic, Betti table,
 rational oddness and whether the obstruction machinery applies.  No
 fixed-point weight data is emitted because the glued action determines
 none that could be written down honestly.
+
+Each function imports the localization, symalg and obstruction names it
+uses in its body, so the W_g report loads neither localization nor symalg,
+and the S^2 x S^2 family no obstruction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _MODULE_EXPORTS
 from .errors import MAX_RESULT_ENTRIES, DomainError, Record, over_limit, strict_index
-from .localization import (
-    C2,
-    GAMMA,
-    FixedComponent,
-    FixedPointData,
-    KappaValue,
-    compare_expected,
-    fixed_point_payload,
-    write_fixed_point_file,
-)
-from .obstruction import HypothesisFlags
-from .symalg import CharClassMonomial, WeightVector
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
 if TYPE_CHECKING:
     from typing import Iterable
+
+    from .localization import FixedPointData, KappaValue
+    from .obstruction import HypothesisFlags
 
 __all__ = [*_MODULE_EXPORTS["catalog"]]
 
@@ -51,9 +44,13 @@ class CatalogEntry(Record):
     provenance_note: str
 
     def to_payload(self) -> dict:
+        from .localization import fixed_point_payload
+
         return fixed_point_payload(self.data, self.expected, self.provenance_note)
 
     def write(self, path) -> None:
+        from .localization import write_fixed_point_file
+
         write_fixed_point_file(path, self.data, self.expected, self.provenance_note)
 
 
@@ -64,6 +61,11 @@ def s2xs2_family(k: int) -> CatalogEntry:
     per point; chi(W) = 4.  Expected values: kappa_{e*p_1} equals
     4(k^2+1) gamma^2 over the circle and 4(k^2+1) c2 over SU(2).
     """
+    from .localization import (
+        C2, GAMMA, FixedComponent, FixedPointData, KappaValue, compare_expected,
+    )
+    from .symalg import CharClassMonomial, WeightVector
+
     k = strict_index(k)
     if k < 0 or k % 2:
         raise DomainError(
@@ -81,7 +83,7 @@ def s2xs2_family(k: int) -> CatalogEntry:
     )
     data = FixedPointData(2, components, fiber_euler_char=4)
     p1 = CharClassMonomial.pontryagin(1, 2)
-    coefficient = Fraction(4 * (k * k + 1))
+    coefficient = 4 * (k * k + 1)
     expected = (
         KappaValue(p1, coefficient, GAMMA, 2),
         KappaValue(p1, coefficient, C2, 1),
@@ -184,6 +186,8 @@ def wg_hypothesis_report(n: int, g: int) -> WgHypothesisReport:
     applies exactly when g > 1 pushes chi below zero.  No weight data is
     produced; the glued action does not come with coordinates.
     """
+    from .obstruction import HypothesisFlags
+
     n = strict_index(n)
     g = strict_index(g)
     if n < 3 or n % 2 == 0:

@@ -19,17 +19,24 @@ not-applicable included), 1 for domain errors, 2 for parse or validation
 errors.  --format json|text selects the encoding; the environment variable
 KAPPA_FORGE_FORMAT supplies the default.
 
-Each handler imports the modules it calls, so a run loads only those:
-theorem-a, adams and betti never import localization or symalg.  A
-well-formed argv is read straight from the option table (COMMANDS);
-argparse, with the gettext and locale it loads, is imported only to print
-help or a usage error.
+The option table (COMMANDS) declares every subcommand and option and names
+each handler by its module and function: the file and catalog handlers
+live in ``_file_handlers``, the verdict and SU(2) handlers in
+``_verdict_handlers``.  ``main`` imports only the module of the command it
+runs, and each handler imports the library modules it calls, so a run
+compiles and loads only those: theorem-a, adams and betti never import
+localization, symalg or the file handlers.  A well-formed argv is read
+straight from the table; the argparse parser of the table
+(``_argparser``), with the argparse, gettext and locale it loads, is
+imported only to print help or a usage error.  No module of the package
+imports this one, which under ``python -m`` runs as ``__main__``.
 
 A process enters through :func:`run` (the ``kappa-forge`` script and
 ``python -m kappa_forge.cli``), which alone sets the garbage collector;
 :func:`main` is the call for tests and library callers.  Each handler
 returns (payload, text lines, ok), and ``main`` alone writes it and maps
-ok to exit 0, else 1.
+ok to exit 0, else 1; the lines are an iterable that ``main`` reads only
+for ``--format text``.
 """
 
 from __future__ import annotations
@@ -39,320 +46,9 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import (
-    DomainError, ParseError, clip, int_digit_limit, int_digit_scope, parse_weight_list, rational_literal,
-)
+from .errors import DomainError, ParseError, int_digit_limit, int_digit_scope
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
-
-_FLAG_TOKENS = {
-    "rationally-odd": "rationally_odd",
-    "neg-euler": "negative_euler_char",
-    "nontrivial-action": "nontrivial_action_assumed",
-}
-
-
-def _parse_fraction_list(text: str) -> list:
-    """The rationals of a comma-separated ``--b``, each read by :func:`errors.rational_literal`."""
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            out.append(rational_literal(token))
-        except ParseError:  # bounded_fraction's own refusal
-            raise
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational '{clip(token)}'") from None
-    return out
-
-
-def _kappa_text(label: str, kv) -> str:
-    """``kappa[label] = coefficient * generator^power``, the text form of a KappaValue."""
-    return f"kappa[{label}] = {kv.coefficient} * {kv.generator}^{kv.generator_power}"
-
-
-def _parse_flags(text):
-    from .obstruction import HypothesisFlags
-
-    if text is None:
-        print(
-            "warning: hypothesis flags not given; defaulting to "
-            "rationally-odd,neg-euler,nontrivial-action. The verdict "
-            "obstructs an action only when these actually hold.",
-            file=sys.stderr,
-        )
-        return HypothesisFlags.all_true()
-    values = {name: False for name in _FLAG_TOKENS.values()}
-    for token in text.split(","):
-        token = token.strip()
-        if token not in _FLAG_TOKENS:
-            raise ParseError(
-                f"unknown hypothesis flag '{clip(token)}' (expected "
-                + ", ".join(sorted(_FLAG_TOKENS))
-                + ")"
-            )
-        values[_FLAG_TOKENS[token]] = True
-    return HypothesisFlags(**values)
-
-
-def _run_inputs(args, per_file):
-    """Run ``per_file(path, loaded, prefix)`` on each --input file, in order.
-
-    ``per_file`` returns (payload, text lines, ok); ``prefix`` is "path: "
-    when there are several files.  Validation notes go to stderr.  The
-    result is one file's payload or a list of several, every file's lines,
-    and ok when every file is; an unusable file raises ParseError.
-    """
-    from .localization import _require_usable, read_fixed_point_file, validate_fixed_data
-
-    prefix_paths = len(args.input) > 1
-    notes, payloads, lines, ok = [], [], [], True
-    for path in args.input:
-        loaded = read_fixed_point_file(path)
-        # validated first, so _require_usable reads the diagnostics kept on the data
-        diagnostics = validate_fixed_data(loaded.data)
-        try:
-            _require_usable(loaded.data)
-        except DomainError as exc:
-            raise ParseError(f"'{path}': {exc}") from None
-        payload, file_lines, file_ok = per_file(
-            path, loaded, f"{path}: " if prefix_paths else ""
-        )
-        notes.extend(f"{path}: {d.message}" for d in diagnostics if d.severity == "info")
-        payloads.append(payload)
-        lines.extend(file_lines)
-        ok = ok and file_ok
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
-    return payloads if prefix_paths else payloads[0], lines, ok
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-def cmd_sigma(args):
-    from .symalg import parse_class_monomial, sigma_eval
-
-    weights = parse_weight_list(args.weights)
-    monomial = parse_class_monomial(args.cls, len(weights))
-    value = sigma_eval(monomial, weights)
-    payload = {
-        "class": str(monomial),
-        "fiber_half_dim": len(weights),
-        "sigma": value,
-        "weights": weights,
-    }
-    return payload, [str(value)], True
-
-
-def cmd_localize(args):
-    from .localization import compare_expected, kappa_class_label, localize_circle
-    from .symalg import parse_class_monomial
-
-    def per_file(path, loaded, prefix):
-        n = loaded.data.fiber_half_dim
-        if args.cls is not None:
-            monomial = parse_class_monomial(args.cls, n)
-            kv = localize_circle(loaded.data, monomial)
-            label = kappa_class_label(monomial)
-            payload = {**kv.to_json_dict(), "input": str(path), "kappa_class": label}
-            return payload, [prefix + _kappa_text(label, kv)], True
-        if not loaded.expected:
-            raise ParseError(
-                f"'{path}': no --class given and the file carries no "
-                "expected annotations"
-            )
-        comparisons = compare_expected(loaded.data, loaded.expected)
-        results = []
-        lines = []
-        for comp in comparisons:
-            label = kappa_class_label(comp.expected.class_monomial)
-            status = "ok" if comp.matches else "MISMATCH"
-            lines.append(
-                f"{prefix}{_kappa_text(label, comp.computed)} "
-                f"(expected {comp.expected.coefficient}: {status})"
-            )
-            results.append(
-                {
-                    "class": str(comp.expected.class_monomial),
-                    "computed": str(comp.computed.coefficient),
-                    "expected": str(comp.expected.coefficient),
-                    "generator": comp.expected.generator,
-                    "kappa_class": label,
-                    "matches": comp.matches,
-                    "power": comp.computed.generator_power,
-                }
-            )
-        ok = all(comp.matches for comp in comparisons)
-        payload = {"checks": results, "input": str(path), "ok": ok}
-        return payload, lines, ok
-
-    return _run_inputs(args, per_file)
-
-
-def cmd_pullback_su2(args):
-    from .localization import kappa_class_label, pullback_su2
-
-    def per_file(path, loaded, prefix):
-        kv, b_i = pullback_su2(loaded.data, args.i)
-        label = kappa_class_label(kv.class_monomial)
-        payload = {
-            **kv.to_json_dict(),
-            "b_i": str(b_i),
-            "i": args.i,
-            "input": str(path),
-            "kappa_class": label,
-        }
-        lines = [
-            prefix + _kappa_text(label, kv),
-            f"{prefix}b_{args.i} = {b_i}",
-        ]
-        return payload, lines, True
-
-    return _run_inputs(args, per_file)
-
-
-def cmd_theorem_a(args):
-    from .obstruction import BVector, theorem_a_check
-
-    b = BVector.of(_parse_fraction_list(args.b))
-    flags = _parse_flags(args.flags)
-    verdict = theorem_a_check(b, flags)
-    payload = {"b": [str(x) for x in b], **verdict.to_json_dict()}
-    lines = [f"verdict: {verdict.status}"]
-    lines.extend(f"reason: {r}" for r in verdict.reasons)
-    if not verdict.applicable:
-        lines.append(
-            "note: hypothesis flags incomplete; this is arithmetic only, "
-            "not an obstruction"
-        )
-    return payload, lines, True
-
-
-def cmd_adams(args):
-    from .obstruction import BVector, Certificate, adams_transform, nonkinetic_certificate
-
-    b = BVector.of(_parse_fraction_list(args.b))
-    if not args.certify:
-        transformed = adams_transform(args.k, b)
-        payload = {
-            "b": [str(x) for x in b],
-            "b_transformed": [str(x) for x in transformed],
-            "k": args.k,
-        }
-        return payload, [str(transformed)], True
-    flags = _parse_flags(args.flags)
-    result = nonkinetic_certificate(b, args.k, flags)
-    if isinstance(result, Certificate):
-        lines = [
-            "certificate: non-kinetic",
-            f"k = {result.k}",
-            f"witness prime = {result.witness_prime}",
-            f"gcd = {result.gcd}",
-            f"b_base = {result.b_base}",
-            f"b_transformed = {result.b_transformed}",
-        ]
-    else:
-        lines = [f"not applicable: {result.reason}"]
-    return result.to_json_dict(), lines, True
-
-
-def cmd_su2_restrict(args):
-    from .su2rep import parse_real_rep, restrict_to_torus
-
-    rep = parse_real_rep(args.rep)
-    weights = restrict_to_torus(rep)
-    payload = {"rep": str(rep), "weights": list(weights.entries)}
-    return payload, [str(weights)], True
-
-
-def cmd_su2_realize(args):
-    from .su2rep import parse_weight_multiset, realize_weights
-
-    weights = parse_weight_multiset(args.weights)
-    rep = realize_weights(weights)
-    payload = {
-        "feasible": rep is not None,
-        "rep": None if rep is None else str(rep),
-        "weights": list(weights.entries),
-    }
-    return payload, [str(rep) if rep is not None else "infeasible"], True
-
-
-def cmd_betti(args):
-    from .obstruction import betti_feasible
-
-    result = betti_feasible(args.w_even, args.w_odd, args.m_even, args.m_odd)
-    payload = {
-        "feasible": result.feasible,
-        "k": result.k,
-        "m_even": args.m_even,
-        "m_odd": args.m_odd,
-        "w_even": args.w_even,
-        "w_odd": args.w_odd,
-    }
-    if result.feasible:
-        lines = [f"feasible: k = {result.k}"]
-    else:
-        lines = [
-            "infeasible: the even and odd Betti sums must drop by the same "
-            "non-negative amount"
-        ]
-    return payload, lines, True
-
-
-def cmd_catalog_s2xs2(args):
-    import json
-
-    from .catalog import s2xs2_family
-    from .localization import kappa_class_label
-
-    entry = s2xs2_family(args.k)
-    if args.out is None:  # the data file itself, in either format
-        payload = entry.to_payload()
-        lines = [json.dumps(payload, indent=2, sort_keys=True)] if args.format == "text" else []
-        return payload, lines, True
-    entry.write(args.out)
-    expected_lines = [
-        "expected " + _kappa_text(kappa_class_label(ev.class_monomial), ev)
-        for ev in entry.expected
-    ]
-    payload = {
-        "expected": [ev.to_json_dict() for ev in entry.expected],
-        "label": entry.label,
-        "out": str(args.out),
-    }
-    return payload, [f"wrote {args.out}"] + expected_lines, True
-
-
-def cmd_catalog_wg(args):
-    from .catalog import wg_hypothesis_report
-
-    report = wg_hypothesis_report(args.n, args.g)
-    payload = {name: getattr(report, name) for name in report._fields}
-    payload["hypotheses"] = report.hypotheses.to_json_dict()
-    betti_text = ",".join(str(x) for x in report.betti)
-    lines = [
-        f"{report.manifold} (dimension {2 * report.n})",
-        f"euler characteristic: {report.euler_char}",
-        f"rationally odd: {'yes' if report.rationally_odd else 'no'} (betti {betti_text})",
-        f"building-block fixed set: {report.fixed_set} (non-empty)",
-    ]
-    if report.theorems_apply:
-        lines.append("obstruction hypotheses: satisfied")
-    else:
-        lines.append(
-            "obstruction hypotheses: not satisfied "
-            f"(euler characteristic {report.euler_char} is not negative)"
-        )
-    return payload, lines, True
-
-
-# ---------------------------------------------------------------------------
-# option table and parser
-# ---------------------------------------------------------------------------
-
 FORMATS = ("text", "json")
 
 # One row per option: (option string, dest, type, required, nargs, help).  The
@@ -364,30 +60,39 @@ _FORMAT_OPTION = (
 )
 _INPUT_OPTION = ("--input", "input", str, True, "+", "fixed-point data file(s)")
 
-# subcommand -> (help, handler, options), each taking --format first; a
-# subcommand with families (catalog) maps to (help, {family: the same})
+# the private modules that hold the handlers, each imported by the calls it serves
+_FILES, _VERDICTS = "_file_handlers", "_verdict_handlers"
+
+# subcommand -> (help, (handler module, handler function), options), each taking
+# --format first; a subcommand with families (catalog) maps to (help, {family: the same})
 COMMANDS = {
-    "sigma": ("evaluate a class monomial on weights", cmd_sigma, (
+    "sigma": ("evaluate a class monomial on weights", (_FILES, "cmd_sigma"), (
         ("--class", "cls", str, True, None, "e.g. p1, e*p1^2"),
         ("--weights", "weights", str, True, None, "comma-separated integers"),
     )),
-    "localize": ("localize kappa classes over the circle from fixed-point files", cmd_localize, (
-        _INPUT_OPTION,
-        ("--class", "cls", str, False, None,
-         "class monomial; omit to verify the file's expected annotations"),
-    )),
-    "pullback-su2": ("kappa[e*p_i] over SU(2) with the normalized b_i", cmd_pullback_su2, (
-        _INPUT_OPTION,
-        ("--i", "i", int, True, None, "Pontryagin index"),
-    )),
-    "theorem-a": ("obstruction verdict on a b-vector", cmd_theorem_a, (
+    "localize": (
+        "localize kappa classes over the circle from fixed-point files",
+        (_FILES, "cmd_localize"), (
+            _INPUT_OPTION,
+            ("--class", "cls", str, False, None,
+             "class monomial; omit to verify the file's expected annotations"),
+        ),
+    ),
+    "pullback-su2": (
+        "kappa[e*p_i] over SU(2) with the normalized b_i", (_FILES, "cmd_pullback_su2"), (
+            _INPUT_OPTION,
+            ("--i", "i", int, True, None, "Pontryagin index"),
+        ),
+    ),
+    "theorem-a": ("obstruction verdict on a b-vector", (_VERDICTS, "cmd_theorem_a"), (
         ("--b", "b", str, True, None, "comma-separated rationals, e.g. 9,18"),
         ("--flags", "flags", str, False, None,
          "comma list from rationally-odd,neg-euler,nontrivial-action "
          "(default: all, with a warning)"),
     )),
     "adams": (
-        "rescale a b-vector by k^(2i); --certify emits the non-kinetic certificate", cmd_adams, (
+        "rescale a b-vector by k^(2i); --certify emits the non-kinetic certificate",
+        (_VERDICTS, "cmd_adams"), (
             ("--k", "k", int, True, None, "odd integer"),
             ("--b", "b", str, True, None, "comma-separated rationals"),
             ("--certify", "certify", bool, False, 0, "run the certificate pipeline"),
@@ -395,24 +100,29 @@ COMMANDS = {
              "hypothesis flags for --certify (default: all, with a warning)"),
         ),
     ),
-    "su2-restrict": ("torus weights of a real SU(2)-representation", cmd_su2_restrict, (
-        ("--rep", "rep", str, True, None, "e.g. V3+V4+2*V1"),
-    )),
-    "su2-realize": ("find a real representation with the given torus weights", cmd_su2_realize, (
-        ("--weights", "weights", str, True, None, "comma-separated integers"),
-    )),
-    "betti": ("fixed-set Betti sum feasibility", cmd_betti, (
+    "su2-restrict": (
+        "torus weights of a real SU(2)-representation", (_VERDICTS, "cmd_su2_restrict"), (
+            ("--rep", "rep", str, True, None, "e.g. V3+V4+2*V1"),
+        ),
+    ),
+    "su2-realize": (
+        "find a real representation with the given torus weights",
+        (_VERDICTS, "cmd_su2_realize"), (
+            ("--weights", "weights", str, True, None, "comma-separated integers"),
+        ),
+    ),
+    "betti": ("fixed-set Betti sum feasibility", (_VERDICTS, "cmd_betti"), (
         ("--w-even", "w_even", int, True, None, None),
         ("--w-odd", "w_odd", int, True, None, None),
         ("--m-even", "m_even", int, True, None, None),
         ("--m-odd", "m_odd", int, True, None, None),
     )),
     "catalog": ("generate the worked example families", {
-        "s2xs2": ("sphere-bundle double family", cmd_catalog_s2xs2, (
+        "s2xs2": ("sphere-bundle double family", (_FILES, "cmd_catalog_s2xs2"), (
             ("--k", "k", int, True, None, "even Euler number"),
             ("--out", "out", str, False, None, "write the data file here"),
         )),
-        "wg": ("connected-sum hypothesis report", cmd_catalog_wg, (
+        "wg": ("connected-sum hypothesis report", (_FILES, "cmd_catalog_wg"), (
             ("--n", "n", int, True, None, "odd integer >= 3"),
             ("--g", "g", int, True, None, "number of summands"),
         )),
@@ -421,7 +131,7 @@ COMMANDS = {
 
 
 def read_argv(argv):
-    """The namespace ``build_parser().parse_args(argv)`` gives, or None unless argv is plain.
+    """The namespace the argparse parser of :data:`COMMANDS` gives, or None unless argv is plain.
 
     Plain means: the exact subcommand, family and option names; each value
     as ``--opt value`` or ``--opt=value``, with no space-separated value
@@ -479,83 +189,26 @@ def read_argv(argv):
     return SimpleNamespace(**values, handler=handler)
 
 
-def build_parser():
-    """The argparse parser of :data:`COMMANDS`, for help and usage errors."""
-    import argparse
-
-    class Store(argparse.Action):
-        """Store the value, reading ``--opt=--`` as Python 3.13 does.
-
-        Before 3.13 argparse drops the explicit value ``--`` and hands the
-        action ``[]``.  3.13 refuses ``--`` as an int or a choice, with the
-        messages below, and stores it otherwise.
-        """
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            if values == []:
-                if self.type is int:
-                    raise argparse.ArgumentError(self, "invalid int value: '--'")
-                if self.choices:
-                    choices = ", ".join(map(repr, self.choices))
-                    message = f"invalid choice: '--' (choose from {choices})"
-                    raise argparse.ArgumentError(self, message)
-                values = ["--"] if self.nargs == "+" else "--"
-            setattr(namespace, self.dest, values)
-
-    class Parser(argparse.ArgumentParser):
-        # argparse drops a failed write from Python 3.11 on, so help into a closed pipe
-        # would exit 0 unsaid: a write to stdout lets its error go on to run, and one to
-        # stderr keeps a usage error's exit 2.  A stream closed at start is None and takes
-        # no write, which Python 3.10 would end in exit 1.  Subparsers take this class too.
-        def _print_message(self, message, file=None):
-            file = sys.stderr if file is None else file
-            if message and file is not None and file is sys.stdout:
-                file.write(message)
-            elif file is not None:
-                super()._print_message(message, file)
-
-    parser = Parser(
-        prog="kappa-forge",
-        description="Exact kappa-class localization and the action obstruction test.",
-    )
-    _add_commands(parser, "subcommand", COMMANDS, Store)
-    return parser
-
-
-def _add_commands(parser, dest, commands, store) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, entry in commands.items():
-        p = sub.add_parser(name, help=entry[0])
-        if len(entry) == 2:
-            _add_commands(p, "family", entry[1], store)
-            continue
-        _, handler, options = entry
-        for flag, dest, kind, required, nargs, help_text in (_FORMAT_OPTION, *options):
-            if nargs == 0:
-                kwargs = {"action": "store_true"}
-            else:
-                kwargs = {"action": store, "required": required, "nargs": nargs}
-            if kind is int:
-                kwargs["type"] = int
-            elif isinstance(kind, tuple):
-                kwargs["choices"] = kind
-            p.add_argument(flag, dest=dest, help=help_text, **kwargs)
-        p.set_defaults(handler=handler)
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # results and messages print in full; each parser holds int_digit_limit() (4300 here) itself
     with int_digit_scope(0):
         with int_digit_scope(int_digit_limit()):  # and so do the integer options
-            args = read_argv(argv) or build_parser().parse_args(argv)
+            args = read_argv(argv)
+            if args is None:  # help, a usage error or a spelling the table does not read
+                from ._argparser import build_parser
+
+                args = build_parser(COMMANDS, _FORMAT_OPTION).parse_args(argv)
         try:
             # resolved before any work, so a bad value computes and writes nothing
             args.format = args.format or os.environ.get(FORMAT_ENV) or "text"
             if args.format not in FORMATS:
                 raise ParseError(f"bad output format '{args.format}' (expected 'text' or 'json')")
-            payload, lines, ok = args.handler(args)
+            module, function = args.handler
+            # what ``from .<module> import <function>`` runs, so -X importtime lists the module
+            handler = getattr(__import__(module, globals(), None, (function,), 1), function)
+            payload, lines, ok = handler(args)
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

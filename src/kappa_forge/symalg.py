@@ -210,18 +210,32 @@ def _elementary_down(low: int, values: Sequence[int]) -> list[int]:
     return coeffs[::-1]
 
 
+def _elementary_range(low: int, top: int, values: Sequence[int]) -> list[int]:
+    """e with e[i] = sigma_i of ``values`` for i = 0 and low <= i <= top, from the shorter pass.
+
+    Forward from sigma_0 up to ``top`` (:func:`_elementary_upto`) takes
+    about n*top big-integer multiply-adds, and from sigma_n down to ``low``
+    (:func:`_elementary_down`) about n*(n-low+1); a tie goes forward.  So
+    sigma_n alone costs n products.  The down pass leaves e[1..low-1] at 0.
+    """
+    if len(values) - low + 1 < top:
+        return [1] + [0] * (low - 1) + _elementary_down(low, values)
+    return _elementary_upto(top, values)
+
+
 def elementary_symmetric(i: int, values: Iterable[int]) -> int:
     """The i-th elementary symmetric polynomial of the given integers, exactly.
 
     sigma_0 is 1 by the empty-product convention.  One truncated pass over
-    the n values: O(n*i) big-integer multiply-adds.
+    the n values, forward or from sigma_n down (:func:`_elementary_range`):
+    O(n*min(i, n-i+1)) big-integer multiply-adds.
     """
     vals = list(map(strict_index, values))
     if i < 0 or i > len(vals):
         raise DomainError(
             f"elementary symmetric index {i} outside 0..{len(vals)}"
         )
-    return _elementary_upto(i, vals)[i]
+    return _elementary_range(i, i, vals)[i]
 
 
 def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
@@ -297,11 +311,9 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
 
     Every monomial's fiber dimension is checked against ``w`` first; then
     one truncated pass gives every factor, for all monomials at once.  The
-    pass covers the p-indices ``low``..``top`` the monomials use: forward
-    from sigma_0 up to ``top`` (:func:`_elementary_upto`), about n*top
-    big-integer multiply-adds, or from sigma_n down to ``low``
-    (:func:`_elementary_down`), about n*(n-low+1), whichever needs fewer;
-    a tie goes forward.  So p_n alone costs n products.  Each monomial's top
+    pass covers the p-indices ``low``..``top`` the monomials use, in the
+    direction that needs fewer multiply-adds (:func:`_elementary_range`),
+    so p_n alone costs n products.  Each monomial's top
     index and non-zero factors come from the analysis made when it was
     built (:class:`CharClassMonomial`), so no call scans its n exponents.
     """
@@ -319,12 +331,8 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
         if factors and factors[0][0] < low:
             low = factors[0][0]
         needs_euler = needs_euler or c.e_exponent > 0
-    squares = [a * a for a in w.weights]
-    if n - low + 1 < top:
-        # e[1..low-1] is no factor of any monomial and is never read
-        e = [1] + [0] * (low - 1) + _elementary_down(low, squares)
-    else:
-        e = _elementary_upto(top, squares)
+    # e[1..low-1] is no factor of any monomial and is never read
+    e = _elementary_range(low, top, [a * a for a in w.weights])
     euler = prod(w.weights) if needs_euler else 1
     return [_eval_from(c, e, euler) for c in monomials]
 

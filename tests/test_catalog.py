@@ -54,6 +54,14 @@ def test_family_structure():
     assert signs == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
+def test_family_coefficients_are_ints_as_the_file_reads_them_back(tmp_path):
+    entry = s2xs2_family(2)
+    entry.write(tmp_path / "k2.json")
+    loaded = read_fixed_point_file(tmp_path / "k2.json")
+    assert [type(ev.coefficient) for ev in entry.expected] == [int, int]
+    assert list(map(repr, entry.expected)) == list(map(repr, loaded.expected))
+
+
 def test_family_self_verifies():
     for k in (0, 2, 8, 40):
         entry = s2xs2_family(k)

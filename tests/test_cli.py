@@ -372,6 +372,32 @@ def test_localize_with_class(capsys, tmp_path):
     assert "kappa[e*p1] = 20 * gamma^2" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["localize", "--input", "{data}"],
+        ["localize", "--input", "{data}", "--class", "p1"],
+        ["pullback-su2", "--input", "{data}", "{data}", "--i", "1"],
+    ],
+    ids=lambda v: " ".join(v[:1] + v[3:4]),
+)
+def test_json_output_never_formats_the_text_lines(capsys, tmp_path, monkeypatch, argv):
+    from kappa_forge import _file_handlers
+
+    path = str(tmp_path / "data.json")
+    run(capsys, ["catalog", "s2xs2", "--k", "2", "--out", path])
+
+    def refuse(*_):
+        raise AssertionError("a text line was formatted for --format json")
+
+    monkeypatch.setattr(_file_handlers, "_kappa_text", refuse)
+    code, out, err = run(capsys, [a.replace("{data}", path) for a in argv] + ["--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)
+    with pytest.raises(AssertionError, match="text line"):
+        main([a.replace("{data}", path) for a in argv] + ["--format", "text"])
+
+
 def test_localize_without_class_or_expected_is_parse_error(capsys, tmp_path):
     path = tmp_path / "plain.json"
     path.write_text(

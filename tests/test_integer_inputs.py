@@ -23,7 +23,7 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
-from kappa_forge.cli import _parse_fraction_list
+from kappa_forge._verdict_handlers import _parse_fraction_list
 from kappa_forge.errors import (
     DomainError, ParseError, bounded_fraction, clip, int_digit_limit, int_digit_scope,
 )

@@ -1,9 +1,10 @@
 """The option-table reading of argv (``cli.read_argv``) against argparse.
 
 ``main`` takes the namespace of ``read_argv`` when it gives one and asks
-``build_parser().parse_args`` otherwise.  Wherever ``read_argv`` answers,
-argparse must accept the same argv and give the same namespace; the golden
-calls and the benchmark's jobs must all be answered without argparse.
+the parser ``_argparser.build_parser`` makes of the same table otherwise.
+Wherever ``read_argv`` answers, argparse must accept the same argv and give
+the same namespace; the golden calls and the benchmark's jobs must all be
+answered without argparse.
 """
 
 import contextlib
@@ -16,10 +17,11 @@ from pathlib import Path
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from kappa_forge.cli import COMMANDS, build_parser, read_argv
+from kappa_forge._argparser import build_parser
+from kappa_forge.cli import _FORMAT_OPTION, COMMANDS, read_argv
 
 ROOT = Path(__file__).resolve().parent.parent
-PARSER = build_parser()
+PARSER = build_parser(COMMANDS, _FORMAT_OPTION)
 
 
 def argparse_namespace(argv):

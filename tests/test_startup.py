@@ -61,8 +61,14 @@ DATA = {
     "expected": [{"class": "p1", "coefficient": 20, "generator": "gamma", "power": 2}],
 }
 FLAGS = "--flags=rationally-odd,neg-euler,nontrivial-action"
-FILES = {"errors", "localization", "symalg"}
-CATALOG = {"catalog", "errors", "localization", "obstruction", "symalg"}
+# each call loads its handlers' module next to the library modules it runs
+VERDICTS = {"_verdict_handlers", "errors", "obstruction"}
+SU2 = {"_verdict_handlers", "errors", "su2rep"}
+FILES = {"_file_handlers", "errors", "localization", "symalg"}
+CATALOG = {
+    "s2xs2": {"_file_handlers", "catalog", "errors", "localization", "symalg"},
+    "wg": {"_file_handlers", "catalog", "errors", "obstruction"},
+}
 
 
 # the same, but lists every module loaded after the interpreter's own start-up and
@@ -118,19 +124,18 @@ def probe(argv):
 
 # every subcommand's well-formed call, and the package modules it loads
 SUBCOMMAND_CALLS = [
-    (["sigma", "--class", "p1", "--weights", "1,2"], {"errors", "symalg"}),
+    (["sigma", "--class", "p1", "--weights", "1,2"], {"_file_handlers", "errors", "symalg"}),
     (["localize", "--input", "{data}"], FILES),
     (["localize", "--input", "{data}", "--class", "p1"], FILES),
     (["pullback-su2", "--input", "{data}", "--i", "1"], FILES),
-    (["theorem-a", "--b", "9,18", FLAGS], {"errors", "obstruction"}),
-    (["adams", "--k", "3", "--b", "1,2"], {"errors", "obstruction"}),
-    (["adams", "--k", "3", "--b", "1,2", "--certify", FLAGS], {"errors", "obstruction"}),
-    (["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"],
-     {"errors", "obstruction"}),
-    (["su2-restrict", "--rep", "V3+V1"], {"errors", "su2rep"}),
-    (["su2-realize", "--weights", "2,0"], {"errors", "su2rep"}),
-    (["catalog", "s2xs2", "--k", "2"], CATALOG),
-    (["catalog", "wg", "--n", "3", "--g", "2"], CATALOG),
+    (["theorem-a", "--b", "9,18", FLAGS], VERDICTS),
+    (["adams", "--k", "3", "--b", "1,2"], VERDICTS),
+    (["adams", "--k", "3", "--b", "1,2", "--certify", FLAGS], VERDICTS),
+    (["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"], VERDICTS),
+    (["su2-restrict", "--rep", "V3+V1"], SU2),
+    (["su2-realize", "--weights", "2,0"], SU2),
+    (["catalog", "s2xs2", "--k", "2"], CATALOG["s2xs2"]),
+    (["catalog", "wg", "--n", "3", "--g", "2"], CATALOG["wg"]),
 ]
 
 
@@ -152,6 +157,53 @@ def test_well_formed_call_loads_no_argparse(tmp_path, argv):
     data.write_text(json.dumps(DATA))
     argv = [a.replace("{data}", str(data)) for a in argv]
     assert run_probe(STDLIB_PROBE, argv) & {"argparse", "gettext", "locale"} == set()
+
+
+# help, an abbreviation and a usage error: what the option table leaves to argparse
+ARGPARSE_CALLS = [
+    (["-h"], 0),
+    (["theorem-a", "-h"], 0),
+    (["theorem-a", "--b", "9,18", "--fl", "rationally-odd"], 0),  # argparse reads --fl as --flags
+    (["theorem-a"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", ARGPARSE_CALLS, ids=["help", "command-help", "abbreviation", "usage"]
+)
+def test_help_abbreviation_and_usage_error_load_the_parser_module(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-S", "-c", RUN_PROBE, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    result = json.loads(proc.stdout)
+    assert result["code"] == code
+    assert "kappa_forge._argparser" in result["loaded"]
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["theorem-a", "--b", "9,18"], "kappa_forge._verdict_handlers"),
+        (["sigma", "--class", "p1", "--weights", "1,2"], "kappa_forge._file_handlers"),
+        (["-h"], "kappa_forge._argparser"),
+        (["theorem-a", "-h"], "kappa_forge._argparser"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_python_m_never_imports_the_cli_module_by_name(argv, module):
+    # under -m the CLI runs as __main__: importing kappa_forge.cli would compile it a second time
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "kappa_forge.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert module in imported
+    assert "kappa_forge.cli" not in imported
 
 
 @pytest.mark.parametrize(
@@ -254,6 +306,23 @@ def test_integral_file_loads_no_fractions(tmp_path, argv, fmt):
     data.write_text(json.dumps(DATA))
     argv = [a.replace("{data}", str(data)) for a in argv]
     loaded = run_probe(RUN_PROBE, [*argv, "--format", fmt])
+    assert loaded & {"fractions", "decimal", "_decimal", "numbers"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["s2xs2", "--k", "2"],
+        ["s2xs2", "--k", "4", "--out", "{out}"],
+        ["wg", "--n", "3", "--g", "2"],
+    ],
+    ids=lambda v: " ".join(v[:1] + v[3:4]),
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_catalog_loads_no_fractions(tmp_path, argv, fmt):
+    # every catalog value is an integer: 4(k^2 + 1), chi, the Betti numbers
+    argv = [a.replace("{out}", str(tmp_path / "out.json")) for a in argv]
+    loaded = run_probe(RUN_PROBE, ["catalog", *argv, "--format", fmt])
     assert loaded & {"fractions", "decimal", "_decimal", "numbers"} == set()
 
 

@@ -15,7 +15,8 @@ from kappa_forge.symalg import (
     reduce_monomial,
     sigma_eval,
 )
-from oracles import check_frozen_record, signed_doubling_sigma
+from kappa_forge import symalg
+from oracles import check_frozen_record, elementary_upto, signed_doubling_sigma
 
 
 def esp_by_enumeration(i, values):
@@ -101,6 +102,30 @@ def test_elementary_symmetric_against_enumeration():
 def test_elementary_symmetric_big_integers():
     values = [10**6 + j for j in range(8)]
     assert elementary_symmetric(8, values) == prod(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=16), st.data())
+def test_elementary_symmetric_matches_the_forward_oracle(values, data):
+    # the ends take different passes: 0 and 1 forward, n - 1 and n (n > 2) from sigma_n down
+    n = len(values)
+    expected = elementary_upto(n, values)
+    for i in {0, 1, n - 1, n, data.draw(st.integers(0, n))}:
+        if 0 <= i <= n:
+            assert elementary_symmetric(i, values) == expected[i], i
+
+
+@pytest.mark.parametrize("i, forward", [(1, True), (32, True), (33, False), (64, False)])
+def test_elementary_symmetric_takes_the_shorter_pass(monkeypatch, i, forward):
+    # 64 values: forward to sigma_i costs about 64*i, down to sigma_i about 64*(65 - i)
+    calls = []
+    for name in ("_elementary_upto", "_elementary_down"):
+        kernel = getattr(symalg, name)
+        spy = lambda *a, k=kernel, name=name: calls.append(name) or k(*a)  # noqa: E731
+        monkeypatch.setattr(symalg, name, spy)
+    values = [j * j for j in range(1, 65)]
+    assert elementary_symmetric(i, values) == elementary_upto(i, values)[i]
+    assert calls == ["_elementary_upto" if forward else "_elementary_down"]
 
 
 # ---------------------------------------------------------------------------
