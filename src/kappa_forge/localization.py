@@ -32,11 +32,12 @@ from .errors import (
 from .symalg import (
     CharClassMonomial,
     WeightVector,
+    _analyse,
+    _evaluate,
     _half_dim,
     parse_class_monomial,
     reduce_monomial,
     sigma_eval,
-    sigma_eval_many,
 )
 
 TYPE_CHECKING = False  # true for type checkers only: typing stays unloaded at run time
@@ -331,11 +332,11 @@ def compare_expected(
 ) -> list[ExpectedComparison]:
     """Localize every annotated class and pair it with its expectation.
 
-    The data is validated once, and each distinct row of absolute weights
-    is evaluated against all annotated classes in one :func:`sigma_eval_many`
-    pass, weighted by its chi sum, or by its signed chi sum for a class with
-    an odd e-exponent.  Values and errors are those of
-    :func:`localize_circle` per annotation.
+    The data is validated once and the annotated classes are analysed once
+    (:func:`symalg._analyse`); then each distinct row of absolute weights
+    is evaluated against all of them from one shared pass, weighted by its
+    chi sum, or by its signed chi sum for a class with an odd e-exponent.
+    Values and errors are those of :func:`localize_circle` per annotation.
     """
     if not expected:  # nothing is localized, so nothing is validated
         return []
@@ -344,9 +345,10 @@ def compare_expected(
     for c in monomials:
         _require_same_fiber(data, c)
     odd = [c.e_exponent % 2 for c in monomials]
+    analysis = _analyse(monomials, data.fiber_half_dim)
     coeffs = [0] * len(monomials)
     for row, chi, signed_chi in _weight_rows(data, any(odd)):
-        for j, value in enumerate(sigma_eval_many(monomials, row)):
+        for j, value in enumerate(_evaluate(analysis, row.weights)):
             coeffs[j] += value * (signed_chi if odd[j] else chi)
     out = []
     for ev, coeff in zip(expected, coeffs):

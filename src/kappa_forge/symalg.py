@@ -16,7 +16,12 @@ e^2 = p_n because sigma_e^2 equals sigma_n of the squares.
 The sigma_i a set of monomials needs, for i from their lowest p-index to
 their highest, come from one pass over the squares: forward from sigma_0,
 as prod(1 + v*t), or from sigma_n down, as the low-degree coefficients of
-prod(v + s), whichever takes fewer multiply-adds.
+prod(v + s), whichever takes fewer multiply-adds.  A list of monomials is
+analysed once (its fiber check, that index range, whether the Euler
+product is needed and which monomials are a single p_i) and the analysis
+is applied to each weight row, so a caller with many rows pays for it once.
+Runs of exponent-1 factors multiply largest with smallest, so that the
+operands of each product are of about one size.
 
 All arithmetic is exact (arbitrary-precision integers).  The divisibility
 tests built on these numbers downstream would be meaningless with floats,
@@ -180,14 +185,21 @@ def reduce_monomial(m: CharClassMonomial) -> CharClassMonomial:
 def _elementary_upto(top: int, values: Sequence[int]) -> list[int]:
     """[sigma_0, ..., sigma_top] of ``values``: prod(1 + v*t) truncated at degree top.
 
-    Before the m-th value (from 0) only sigma_0..sigma_m can be non-zero, so
-    the first ``top`` values update only those: up to top*(top-1)/2
-    multiply-adds of zeros fewer than a pass over the full range.
+    Before the m-th value (from 1) only sigma_0..sigma_{m-1} can be non-zero,
+    so that value updates only sigma_1..sigma_m: up to top*(top-1)/2
+    multiply-adds of zeros fewer than a pass over the full range.  The
+    update runs upwards and carries each coefficient's old value in a local
+    to the next one, so every coefficient is read from the list once.
     """
     coeffs = [1] + [0] * top
-    for m, v in enumerate(values):
-        for j in range(min(top, m + 1), 0, -1):
-            coeffs[j] += v * coeffs[j - 1]
+    for reach, v in enumerate(values, start=1):
+        if reach > top:
+            reach = top
+        prev = 1
+        for j in range(1, reach + 1):
+            cur = coeffs[j]
+            coeffs[j] = cur + v * prev
+            prev = cur
     return coeffs
 
 
@@ -196,17 +208,22 @@ def _elementary_down(low: int, values: Sequence[int]) -> list[int]:
 
     The coefficient of s^j in prod(v + s) is sigma_{n-j}, so the
     coefficients of degree 0..n-low are the top sigmas: each value updates
-    them by c_j <- v*c_j + c_{j-1}, then c_0 <- v*c_0.  As in
-    :func:`_elementary_upto`, before the m-th value (from 0) only c_0..c_m
-    can be non-zero, so the update stops at c_{m+1}.  sigma_n alone
-    (low = n) takes one product per value.
+    them by c_0 <- v*c_0, then c_j <- v*c_j + c_{j-1} with the old c_{j-1},
+    carried upwards in a local as in :func:`_elementary_upto`.  Before the
+    m-th value (from 1) only c_0..c_{m-1} can be non-zero, so the update
+    stops at c_m.  sigma_n alone (low = n) takes one product per value.
     """
     depth = len(values) - low
     coeffs = [1] + [0] * depth
-    for m, v in enumerate(values):
-        for j in range(min(depth, m + 1), 0, -1):
-            coeffs[j] = v * coeffs[j] + coeffs[j - 1]
-        coeffs[0] *= v
+    for reach, v in enumerate(values, start=1):
+        if reach > depth:
+            reach = depth
+        prev = coeffs[0]
+        coeffs[0] = prev * v
+        for j in range(1, reach + 1):
+            cur = coeffs[j]
+            coeffs[j] = v * cur + prev
+            prev = cur
     return coeffs[::-1]
 
 
@@ -217,8 +234,9 @@ def _elementary_range(low: int, top: int, values: Sequence[int]) -> list[int]:
     about n*top big-integer multiply-adds, and from sigma_n down to ``low``
     (:func:`_elementary_down`) about n*(n-low+1); a tie goes forward.  So
     sigma_n alone costs n products.  The down pass leaves e[1..low-1] at 0.
+    A ``top`` above n takes the forward pass, whose e[n+1..top] are 0.
     """
-    if len(values) - low + 1 < top:
+    if len(values) - low + 1 < top <= len(values):
         return [1] + [0] * (low - 1) + _elementary_down(low, values)
     return _elementary_upto(top, values)
 
@@ -246,8 +264,14 @@ def _check_power(c: CharClassMonomial, total: int, base: int, k: int) -> None:
 
 
 def _times_run(c: CharClassMonomial, total: int, run: list[int], bits: int) -> int:
-    """``total`` times the product of ``run``, built as a balanced tree: big factors meet big factors.
+    """``total`` times the product of ``run``, folded so that factors of like size meet.
 
+    Each round sorts the run and multiplies its largest factor by its
+    smallest, the second largest by the second smallest, and so on, with a
+    middle factor left over; for e_1..e_n, whose sizes grow about evenly
+    with i, the products of a round are of about one size, and CPython's
+    Karatsuba multiplication pays best on operands of equal size.  The
+    factors are positive: a zero e_i returns before any run is built.
     ``bits``, the bit length of ``total`` plus that of each factor less one,
     is a lower bound on the result's bit length; past the limit the value is
     refused before any factor is multiplied.
@@ -255,10 +279,9 @@ def _times_run(c: CharClassMonomial, total: int, run: list[int], bits: int) -> i
     if bits > MAX_VALUE_BITS:
         raise over_limit(f"the value of {c}", MAX_VALUE_BITS, "bits")
     while len(run) > 1:
-        paired = [a * b for a, b in zip(run[::2], run[1::2])]
-        if len(run) % 2:
-            paired.append(run[-1])
-        run = paired
+        run = sorted(run)
+        half = len(run) // 2
+        run = [a * b for a, b in zip(run[:half], run[:-half - 1:-1])] + run[half:len(run) - half]
     return total * run[0]
 
 
@@ -310,16 +333,26 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
     """:func:`sigma_eval` of every monomial against the same weights, from one shared pass.
 
     Every monomial's fiber dimension is checked against ``w`` first; then
-    one truncated pass gives every factor, for all monomials at once.  The
-    pass covers the p-indices ``low``..``top`` the monomials use, in the
-    direction that needs fewer multiply-adds (:func:`_elementary_range`),
-    so p_n alone costs n products.  Each monomial's top
-    index and non-zero factors come from the analysis made when it was
-    built (:class:`CharClassMonomial`), so no call scans its n exponents.
+    one truncated pass gives every factor, for all monomials at once
+    (:func:`_analyse`, :func:`_evaluate`).
     """
     w = WeightVector.of(w)
-    n = len(w.weights)
-    top, low, needs_euler = 0, n, False
+    return _evaluate(_analyse(monomials, len(w.weights)), w.weights)
+
+
+def _analyse(monomials: Sequence[CharClassMonomial], n: int) -> tuple:
+    """What :func:`_evaluate` needs to evaluate ``monomials`` against any row of n weights.
+
+    Checks each monomial's fiber dimension against n, then returns ``(low,
+    top, needs_euler, plan)``: the p-indices low..top the monomials use,
+    whether any has an e-factor, and per monomial ``(c, i)``, where i > 0
+    when ``c`` is the single p_i, whose value is e_i itself, and 0 otherwise.
+    Each monomial's top index and non-zero factors come from the analysis
+    made when it was built (:class:`CharClassMonomial`), so no call scans
+    its n exponents.  A caller with many rows analyses once and evaluates
+    each row.
+    """
+    top, low, needs_euler, plan = 0, n, False, []
     for c in monomials:
         if c.fiber_half_dim != n:
             raise DomainError(
@@ -331,10 +364,33 @@ def sigma_eval_many(monomials: Sequence[CharClassMonomial], w: WeightsLike) -> l
         if factors and factors[0][0] < low:
             low = factors[0][0]
         needs_euler = needs_euler or c.e_exponent > 0
+        plan.append((c, c_top if factors == ((c_top, 1),) and not c.e_exponent else 0))
+    return low, top, needs_euler, plan
+
+
+def _evaluate(analysis: tuple, weights: Sequence[int]) -> list[int]:
+    """Every analysed monomial's value against ``weights``, in order, from one pass.
+
+    The pass covers the p-indices low..top in the direction that needs
+    fewer multiply-adds (:func:`_elementary_range`), so p_n alone costs n
+    products.  A single p_i reads e_i from it, refused past the value limit
+    as :func:`_eval_from` would refuse it; every other monomial goes
+    through :func:`_eval_from`.
+    """
+    low, top, needs_euler, plan = analysis
     # e[1..low-1] is no factor of any monomial and is never read
-    e = _elementary_range(low, top, [a * a for a in w.weights])
-    euler = prod(w.weights) if needs_euler else 1
-    return [_eval_from(c, e, euler) for c in monomials]
+    e = _elementary_range(low, top, [a * a for a in weights])
+    euler = prod(weights) if needs_euler else 1
+    values = []
+    for c, i in plan:
+        if i:
+            value = e[i]
+            if value.bit_length() > MAX_VALUE_BITS:
+                raise over_limit(f"the value of {c}", MAX_VALUE_BITS, "bits")
+        else:
+            value = _eval_from(c, e, euler)
+        values.append(value)
+    return values
 
 
 _FACTOR_RE = re.compile(r"(e|p([0-9]+))(?:\^(-?[0-9]+))?\Z")

@@ -16,7 +16,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kappa_forge import symalg
@@ -79,10 +79,37 @@ def test_sigma_eval_many_matches_the_full_scan(n, data):
             assert outcome(sigma_eval, c, w) == outcome(oracles.sigma_eval, c, w)
 
 
+def late_single_overflow(rows, texts):
+    """Data of one component per row and a c2 or gamma annotation per class text, n = 3.
+
+    Under the small limit p3 fits on (1, 2, 3) and (2**100, 1, 1) but not on
+    (2**43,) * 3, where e_3 has 259 bits; p1*e fits there, e_1 having 88
+    bits and the Euler product 130, but not on (2**100, 1, 1).  So the
+    order of the rows and of the classes decides which refusal comes first.
+    """
+    comps = tuple(FixedComponent(f"m{j}", 1, row) for j, row in enumerate(rows))
+    expected = []
+    for text in texts:
+        c = parse_class_monomial(text, 3)
+        generator = C2 if c.degree % 4 == 0 else GAMMA
+        expected.append(KappaValue(c, 0, generator, c.degree // (4 if generator == C2 else 2)))
+    return FixedPointData(3, comps, len(comps)), expected
+
+
+SMALL, P3_OVER, P1E_OVER = (1, 2, 3), (2**43,) * 3, (2**100, 1, 1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 8), data=st.data())
-def test_localization_matches_the_full_scan(n, data):
-    d, expected = data.draw(grouped_data(n)), data.draw(annotations(n))
+@given(case=st.integers(1, 8).flatmap(lambda n: st.tuples(grouped_data(n), annotations(n))))
+# the single p3 overflows on a later row, next to a product class that fits there
+@example(case=late_single_overflow([SMALL, P3_OVER, P1E_OVER], ["p1*e", "p3"]))
+@example(case=late_single_overflow([SMALL, P3_OVER, P1E_OVER], ["p3", "p1*e"]))
+# the product class overflows on an earlier row than the single p3
+@example(case=late_single_overflow([SMALL, P1E_OVER, P3_OVER], ["p3", "p1*e"]))
+# a second component of the first row, re-signed and reordered, is no new row
+@example(case=late_single_overflow([SMALL, (3, -2, 1), P3_OVER], ["p1*e", "p2", "p3"]))
+def test_localization_matches_the_full_scan(case):
+    d, expected = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symalg, "MAX_VALUE_BITS", SMALL_LIMIT)
         for ev in expected:

@@ -186,11 +186,11 @@ def test_compare_expected_shares_one_pass_per_component(monkeypatch):
     expected = [
         KappaValue(CharClassMonomial.pontryagin(i, n), 0, C2, i) for i in range(1, n + 1)
     ] + [KappaValue(CharClassMonomial.euler(n), 0, GAMMA, n)]
-    many = count_calls(monkeypatch, localization, "sigma_eval_many")
+    passes = count_calls(monkeypatch, symalg, "_elementary_range")
     validations = count_calls(monkeypatch, localization, "validate_fixed_data")
     kernel = count_calls(monkeypatch, symalg, "_elementary_upto")
     compare_expected(data, expected)
-    assert len(many) == k
+    assert len(passes) == k
     assert len(validations) == 1
     assert len(kernel) == k
 

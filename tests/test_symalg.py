@@ -128,6 +128,34 @@ def test_elementary_symmetric_takes_the_shorter_pass(monkeypatch, i, forward):
     assert calls == ["_elementary_upto" if forward else "_elementary_down"]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=70), st.data())
+def test_elementary_range_matches_the_forward_oracle_at_deep_n(values, data):
+    # slot 0 and slots low..top, whichever pass is taken; low = n, top 0 and
+    # a top above n (only the forward pass reaches past sigma_n) come often
+    n = len(values)
+    low = data.draw(st.integers(1, n) | st.just(n))
+    top = data.draw(st.integers(0, n) | st.sampled_from([0, n + 1, n + 3]))
+    got = symalg._elementary_range(low, top, values)
+    expected = elementary_upto(top, values)
+    assert len(got) > top
+    assert got[0] == expected[0] == 1
+    assert got[low:top + 1] == expected[low:top + 1]
+
+
+# factors of 1 to about 1,100 bits, the sizes of e_1..e_64 of the deep-classes rows
+FACTOR = st.builds(lambda bits, low: (1 << bits) + low, st.integers(0, 1100), st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.lists(FACTOR, min_size=1, max_size=70))
+def test_times_run_is_total_times_the_product(total, run):
+    c = CharClassMonomial.one(1)
+    bits = total.bit_length() + sum(v.bit_length() - 1 for v in run)
+    for order in (run, sorted(run), sorted(run, reverse=True)):
+        assert symalg._times_run(c, total, list(order), bits) == total * prod(run)
+
+
 # ---------------------------------------------------------------------------
 # sigma_eval
 # ---------------------------------------------------------------------------
