@@ -181,9 +181,9 @@ def over_digit_limit(what: str) -> ParseError:
 class int_digit_scope:
     """Hold the int-string digit limit at ``limit`` in a ``with`` block; 0 lifts it.
 
-    ``cli.main`` lifts it for every handler, and each parser of outside text
-    holds :func:`int_digit_limit` (4300 when lifted) itself.  The previous
-    limit comes back on exit, exception or not.  A no-op before Python 3.10.7.
+    Only ``cli.main`` sets the limit; the library reads :func:`int_digit_limit`
+    and counts digits.  The previous limit comes back on exit, exception or
+    not.  A no-op before Python 3.10.7.
     """
 
     __slots__ = ("_limit", "_previous")
@@ -202,6 +202,49 @@ class int_digit_scope:
             sys.set_int_max_str_digits(self._previous)
 
 
+def _digits_over(text: str) -> bool:
+    """Whether int() would refuse ``text`` under :func:`int_digit_limit` for its length.
+
+    It counts as int() does, without a leading sign and ``_``; text that is no
+    integer literal may count over too, which int() refuses anyway.
+    """
+    return len(text) - text.count("_") - (text[:1] in ("+", "-")) > int_digit_limit()
+
+
+def _ints_over(values) -> bool:
+    """Whether an int of ``values`` has more decimal digits than :func:`int_digit_limit`."""
+    limit = int_digit_limit()
+    # 2**(3*limit) < 10**limit: only a longer value needs that power built
+    return any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in values)
+
+
+# each ASCII digit as a NUL byte, so that a run of digits is a run of NULs
+_DIGITS_TO_NUL = bytes.maketrans(b"0123456789", bytes(10))
+
+
+def _json_loads(text: str):
+    """``json.loads(text)``, refusing an integer over :func:`int_digit_limit` as int() does under it.
+
+    Only text with a longer run of ASCII digits, which may lie in a string,
+    goes through a ``parse_int`` hook that counts each integer's digits.
+    """
+    import json  # loaded already by every module that reads a file
+
+    limit = int_digit_limit()
+    if text.encode().translate(_DIGITS_TO_NUL).find(bytes(limit + 1)) < 0:
+        return json.loads(text)
+
+    def parse_int(digits: str) -> int:
+        if _digits_over(digits):
+            raise ValueError(
+                f"Exceeds the limit ({limit} digits) for integer string conversion: value has "
+                f"{len(digits.lstrip('-'))} digits; use sys.set_int_max_str_digits() to increase the limit"
+            )
+        return int(digits)
+
+    return json.loads(text, parse_int=parse_int)
+
+
 def clip(token: str) -> str:
     """``token`` as an error message quotes it: its first 20 characters, then ``...`` if cut."""
     return token if len(token) <= 20 else f"{token[:20]}..."
@@ -212,35 +255,32 @@ _EXPONENT = r"([^/\s]*)[eE]([-+]?\d[\d_]*)\Z"
 
 
 def bounded_fraction(text: str):
-    """``Fraction(text)``, refusing a numerator or denominator over the digit limit.
+    """``Fraction(text)``, refusing a numerator or denominator over :func:`int_digit_limit`.
 
     Malformed text raises ValueError or ZeroDivisionError, as Fraction does;
-    a number over the int-string digit limit, or written with more digits
-    than it, raises ParseError.  The exponent is bounded before Fraction
-    takes 10 to its power: past the limit plus the mantissa's length, only a
-    zero mantissa stays within it.
+    a number over the limit, or written with more digits than it, raises
+    ParseError.  Digits are counted before any is converted, and the
+    exponent is bounded before Fraction takes 10 to its power: past the
+    limit plus the mantissa's length, only a zero mantissa stays within it.
     """
     import re
     from fractions import Fraction
 
-    limit = int_digit_limit()
-    m = re.match(_EXPONENT, text.strip())  # Fraction ignores surrounding whitespace
-    try:
-        with int_digit_scope(limit):
-            huge_exponent = m and abs(int(m.group(2))) > limit + len(m.group(1))
-            value = Fraction(m.group(1) if huge_exponent else text)
-    except ValueError as exc:
-        # int() refuses a run of more than `limit` digits: text that Fraction takes
-        # with each digit run cut to one digit was well formed, only too long
+    # Fraction converts each run of digits, '_' included, with int(); no run is
+    # longer than the whole text, so a short text is not searched
+    if _digits_over(text) and any(map(_digits_over, re.findall(r"[\d_]+", text))):
+        # well formed if Fraction takes it with each digit run cut to one digit
         try:
             Fraction(re.sub(r"\d+", "1", text))
         except ValueError:
-            raise exc from None
+            Fraction(text)  # raises: malformed text fails Fraction's pattern before a digit converts
         over = True
     else:
-        top = max(abs(value.numerator), value.denominator)
-        # 2**(3*limit) < 10**limit: only a longer value needs that power built
-        over = value != 0 if huge_exponent else top.bit_length() > 3 * limit and top >= 10**limit
+        limit = int_digit_limit()
+        m = re.match(_EXPONENT, text.strip())  # Fraction ignores surrounding whitespace
+        huge_exponent = m and abs(int(m.group(2))) > limit + len(m.group(1))
+        value = Fraction(m.group(1) if huge_exponent else text)
+        over = value != 0 if huge_exponent else _ints_over((value.numerator, value.denominator))
     if over:  # a short exponent form stands for a long number too, so '...' always follows
         raise over_digit_limit(f"rational '{text[:20]}...' has a numerator or denominator")
     return value
@@ -278,24 +318,28 @@ def rational_literal(token: str):
     digits = token[1:] if token[:1] in "+-" else token
     # isdecimal() takes the digits of Fraction's \d and int(); a longer run is
     # left to bounded_fraction, which words the refusal
-    if digits.isdecimal() and len(digits) <= int_digit_limit():
+    if digits.isdecimal() and not _digits_over(digits):
         return int(token)
     return bounded_fraction(token)
 
 
 def parse_weight_list(text: str) -> list[int]:
-    """The integers of a comma-separated weight list, as ``sigma`` and ``su2-realize`` take it."""
+    """The integers of a comma-separated weight list, as ``sigma`` and ``su2-realize`` take it.
+
+    A weight of more digits than :func:`int_digit_limit` is refused before int() converts it.
+    """
     if not text.strip():
         raise ParseError("empty weight list")
     out = []
-    with int_digit_scope(int_digit_limit()):
-        for token in text.split(","):
-            token = token.strip()
-            try:
-                out.append(int(token))
-            except ValueError:
-                digits = token[1:] if token[:1] in "+-" else token
-                if digits.isdecimal():  # int refuses decimal digits only past the digit limit
-                    raise over_digit_limit(f"bad weight '{clip(token)}' is") from None
-                raise ParseError(f"bad weight '{clip(token)}'") from None
+    for token in text.split(","):
+        token = token.strip()
+        if _digits_over(token):
+            digits = token[1:] if token[:1] in "+-" else token
+            if digits.isdecimal():  # an integer literal, only too long
+                raise over_digit_limit(f"bad weight '{clip(token)}' is")
+            raise ParseError(f"bad weight '{clip(token)}'")
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ParseError(f"bad weight '{clip(token)}'") from None
     return out

@@ -22,12 +22,13 @@ command-line tool and the example catalog.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import prod
 
 from . import _MODULE_EXPORTS
 from .errors import (
-    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, clip, exact_rational, int_digit_limit,
-    int_digit_scope, rational_literal, strict_index,
+    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, _ints_over, _json_loads, clip,
+    exact_rational, int_digit_limit, rational_literal, strict_index,
 )
 from .symalg import (
     CharClassMonomial,
@@ -485,10 +486,14 @@ def parse_fixed_point_payload(obj) -> FixedPointFile:
 
 
 def read_fixed_point_file(path) -> FixedPointFile:
-    """Read and parse a fixed-point data file; the cyclic collector stays as the caller set it."""
+    """Read and parse a fixed-point data file; the int-string limit and the collector stay as set.
+
+    An integer of more digits than :func:`int_digit_limit` is refused as
+    int() refuses it under that limit, also where the caller lifted it.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle, int_digit_scope(int_digit_limit()):
-            obj = json.load(handle)
+        with open(path, "r", encoding="utf-8") as handle:
+            obj = _json_loads(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read '{path}': {exc}") from None
     except (ValueError, RecursionError) as exc:
@@ -531,21 +536,21 @@ def write_fixed_point_file(
 ) -> None:
     """Write the data file, or raise DomainError and write nothing.
 
-    Numbers are formatted under the :func:`int_digit_limit` that
-    :func:`read_fixed_point_file` parses under, so a file that could not be
-    read back is refused.  A path that cannot be opened for writing raises
-    ParseError, as one that cannot be read does.
+    A number of more digits than :func:`int_digit_limit`, which
+    :func:`read_fixed_point_file` would refuse, is refused before any is
+    formatted.  A path that cannot be opened for writing raises ParseError,
+    as one that cannot be read does.
     """
-    try:
-        with int_digit_scope(int_digit_limit()):
-            text = json.dumps(
-                fixed_point_payload(data, expected, provenance), indent=2, sort_keys=True
-            )
-    except ValueError:  # int-to-str conversion past the digit limit
+    numbers = [data.fiber_half_dim, data.fiber_euler_char or 0, *data._chis, *chain(*data._rows)]
+    for ev in expected or ():  # the class text formats its exponents too
+        m, c = ev.class_monomial, ev.coefficient
+        numbers += (*m.p_exponents, m.e_exponent, ev.generator_power, c.numerator, c.denominator)
+    if _ints_over(numbers):
         raise DomainError(
             f"{path}: not written: a number in it would exceed the "
             f"{int_digit_limit()}-digit limit that reading the file enforces"
-        ) from None
+        )
+    text = json.dumps(fixed_point_payload(data, expected, provenance), indent=2, sort_keys=True)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

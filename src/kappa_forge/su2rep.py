@@ -32,7 +32,7 @@ from collections import Counter
 
 from . import _MODULE_EXPORTS
 from .errors import (
-    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, SequenceRecord, clip, int_digit_limit,
+    MAX_RESULT_ENTRIES, DomainError, ParseError, Record, SequenceRecord, _digits_over, clip,
     over_digit_limit, over_limit, parse_weight_list, strict_index,
 )
 
@@ -170,7 +170,7 @@ def parse_real_rep(text: str) -> RealRep:
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"bad representation term '{clip(term)}'")
-        if max(map(len, m.groups(""))) > int_digit_limit():
+        if any(map(_digits_over, m.groups(""))):
             raise over_digit_limit(f"representation term '{clip(term)}' has a number")
         mult, dim = int(m.group(1) or 1), int(m.group(2))
         if mult < 1:

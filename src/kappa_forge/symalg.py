@@ -35,7 +35,7 @@ from math import prod
 
 from . import _MODULE_EXPORTS
 from .errors import (
-    MAX_VALUE_BITS, DomainError, ParseError, Record, SequenceRecord, clip, int_digit_limit,
+    MAX_VALUE_BITS, DomainError, ParseError, Record, SequenceRecord, _digits_over, clip,
     over_digit_limit, over_limit, strict_index,
 )
 
@@ -417,7 +417,7 @@ def parse_class_monomial(text: str, n: int) -> CharClassMonomial:
         if m is None:
             raise ParseError(f"bad class factor '{clip(factor)}'")
         idx_text, exp_text = m.group(2) or "", m.group(3) or "1"
-        if max(len(idx_text), len(exp_text.lstrip("-"))) > int_digit_limit():
+        if _digits_over(idx_text) or _digits_over(exp_text):
             raise over_digit_limit(f"class factor '{clip(factor)}' has a number")
         idx, exp = int(idx_text) if idx_text else None, int(exp_text)
         if exp < 0:

@@ -17,12 +17,16 @@ import pytest
 
 from kappa_forge import symalg
 from kappa_forge.errors import (
+    _EXPONENT,
     MAX_RESULT_ENTRIES,
     DomainError,
     ParseError,
     Record,
     bounded_fraction,
     clip,
+    int_digit_limit,
+    int_digit_scope,
+    over_digit_limit,
 )
 from kappa_forge.localization import (
     C2,
@@ -452,4 +456,51 @@ def compare_expected(data: FixedPointData, expected) -> list:
         if ev.generator == C2:
             kv = gamma_to_c2(kv)
         out.append(ExpectedComparison(ev, kv))
+    return out
+
+
+# The rational and weight-list readers as they were while they held the digit
+# bound by setting the interpreter's int-string limit around int() and
+# Fraction(); a test owns its process, so these may set it.
+
+
+def bounded_fraction_in_scope(text: str):
+    """``Fraction(text)`` under the limit, refusing a numerator or denominator over it."""
+    import re
+
+    limit = int_digit_limit()
+    m = re.match(_EXPONENT, text.strip())
+    try:
+        with int_digit_scope(limit):
+            huge_exponent = m and abs(int(m.group(2))) > limit + len(m.group(1))
+            value = Fraction(m.group(1) if huge_exponent else text)
+    except ValueError as exc:
+        try:
+            Fraction(re.sub(r"\d+", "1", text))
+        except ValueError:
+            raise exc from None
+        over = True
+    else:
+        top = max(abs(value.numerator), value.denominator)
+        over = value != 0 if huge_exponent else top.bit_length() > 3 * limit and top >= 10**limit
+    if over:
+        raise over_digit_limit(f"rational '{text[:20]}...' has a numerator or denominator")
+    return value
+
+
+def parse_weight_list_in_scope(text: str) -> list[int]:
+    """The integers of a comma-separated weight list, each read by int() under the limit."""
+    if not text.strip():
+        raise ParseError("empty weight list")
+    out = []
+    with int_digit_scope(int_digit_limit()):
+        for token in text.split(","):
+            token = token.strip()
+            try:
+                out.append(int(token))
+            except ValueError:
+                digits = token[1:] if token[:1] in "+-" else token
+                if digits.isdecimal():
+                    raise over_digit_limit(f"bad weight '{clip(token)}' is") from None
+                raise ParseError(f"bad weight '{clip(token)}'") from None
     return out

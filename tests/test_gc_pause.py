@@ -11,7 +11,6 @@ import contextlib
 import gc
 import io
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -123,10 +122,10 @@ def test_a_failed_read_restores_the_callers_setting(tmp_path, failure, enabled):
 
 
 def interrupt_decoding(monkeypatch):
-    def load(handle):
+    def loads(text, **kwargs):
         raise Interrupt
 
-    monkeypatch.setattr(localization.json, "load", load)
+    monkeypatch.setattr(localization.json, "loads", loads)
 
 
 def interrupt_parsing(monkeypatch):
@@ -149,12 +148,14 @@ def test_an_interrupted_read_restores_the_callers_setting(big_file, monkeypatch,
 
 
 def disable_while_decoding(monkeypatch):
-    """Make the reader's ``json.load`` disable the collector, as another thread could meanwhile."""
-    def load(handle):
-        gc.disable()
-        return json.load(handle)
+    """Make the reader's ``json.loads`` disable the collector, as another thread could meanwhile."""
+    decode = json.loads
 
-    monkeypatch.setattr(localization, "json", SimpleNamespace(load=load))
+    def loads(text, **kwargs):
+        gc.disable()
+        return decode(text, **kwargs)
+
+    monkeypatch.setattr(localization.json, "loads", loads)
 
 
 def test_a_disable_made_during_a_read_stays_in_force(big_file, monkeypatch):

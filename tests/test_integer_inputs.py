@@ -9,6 +9,7 @@ digit limit raises ParseError, an exponent form before Fraction builds the
 number.
 """
 
+import json
 import re
 import sys
 from fractions import Fraction
@@ -24,8 +25,10 @@ from kappa_forge.catalog import (
     wg_hypothesis_report,
 )
 from kappa_forge._verdict_handlers import _parse_fraction_list
+from kappa_forge import localization
 from kappa_forge.errors import (
     DomainError, ParseError, bounded_fraction, clip, int_digit_limit, int_digit_scope,
+    parse_weight_list, rational_literal,
 )
 from kappa_forge.localization import (
     GAMMA,
@@ -205,7 +208,17 @@ def test_bool_is_refused_before_the_value_is_used():
     assert CharClassMonomial.pontryagin(1, 2) == P1
 
 
-def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound():
+def one_component_file(path, euler_char, provenance=None):
+    """A data file of one component with ``euler_char``, written as digits whatever the limit."""
+    extra = "" if provenance is None else f', "provenance": "{provenance}"'
+    path.write_text(
+        f'{{"fiber_half_dim": 1, "components": [{{"name": "a", "euler_char": {euler_char}, '
+        f'"weights": [1]}}]{extra}}}'
+    )
+    return path
+
+
+def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound(tmp_path):
     # before CPython 3.10.7: int() takes any length, and sys has no limit to read or set
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -219,6 +232,14 @@ def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound():
             assert bounded_fraction("9" * 4300) == 10**4300 - 1
             with pytest.raises(ParseError, match="numerator or denominator over the 4300-digit"):
                 bounded_fraction("9" * 4301)
+            path = one_component_file(tmp_path / "big.json", "9" * 4301)
+            with pytest.raises(ParseError, match="is not valid JSON: Exceeds the limit .4300 digits"):
+                read_fixed_point_file(path)
+            out = tmp_path / "out.json"
+            data = FixedPointData(1, (FixedComponent("a", 10**4300, (1,)),))
+            with pytest.raises(DomainError, match="not written: .* the 4300-digit limit"):
+                write_fixed_point_file(out, data)
+            assert not out.exists()
     finally:
         sys.set_int_max_str_digits(previous)
 
@@ -257,6 +278,89 @@ def test_data_files_keep_the_4300_digit_bound_under_a_lifted_limit(tmp_path):
         assert read_fixed_point_file(out).data == data
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def test_data_file_reader_counts_digits_as_int_does_under_a_lifted_limit(tmp_path):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as refusal:
+            int("-" + "9" * 4301)
+        sys.set_int_max_str_digits(0)
+        path = one_component_file(tmp_path / "at.json", "9" * 4300)
+        assert read_fixed_point_file(path).data.components[0].euler_char == 10**4300 - 1
+        path = one_component_file(tmp_path / "over.json", "-" + "9" * 4301)
+        with pytest.raises(ParseError) as exc:
+            read_fixed_point_file(path)
+        assert str(exc.value) == f"'{path}' is not valid JSON: {refusal.value}"
+        # a long run of digits in a string is no number
+        path = one_component_file(tmp_path / "note.json", 2, provenance="7" * 5000)
+        assert read_fixed_point_file(path).provenance == "7" * 5000
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"provenance": "\xe9' + b"7" * 5000 + b'"}')
+        with pytest.raises(ParseError, match="is not valid JSON: 'utf-8' codec can't decode"):
+            read_fixed_point_file(path)
+        path = tmp_path / "utf16.json"  # json.loads would take these bytes
+        path.write_text('{"fiber_half_dim": 1, "components": []}', encoding="utf-16")
+        with pytest.raises(ParseError, match="is not valid JSON"):
+            read_fixed_point_file(path)
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_a_limit_set_while_a_file_is_read_stays_in_force(tmp_path, monkeypatch):
+    # another thread sets the process-wide limit while the reader decodes
+    decode = json.loads
+
+    def loads(text, **kwargs):
+        sys.set_int_max_str_digits(777)
+        return decode(text, **kwargs)
+
+    path = one_component_file(tmp_path / "data.json", 2)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(10_000)
+    try:
+        monkeypatch.setattr(localization.json, "loads", loads)
+        assert read_fixed_point_file(path).data.components[0].euler_char == 2
+        assert sys.get_int_max_str_digits() == 777
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("limit", [0, 4300, 777])
+def test_no_library_call_sets_the_digit_limit(tmp_path, monkeypatch, limit):
+    calls = []
+    set_limit = sys.set_int_max_str_digits
+    previous = sys.get_int_max_str_digits()
+    data = FixedPointData(1, (FixedComponent("a", 2, (1,)),), 2)
+    annotations = [KappaValue(CharClassMonomial(1, (1,)), 2, GAMMA, 2)]
+    payload = {
+        "fiber_half_dim": 1,
+        "components": [{"name": "a", "euler_char": 2, "weights": [1]}],
+        "expected": [{"class": "p1", "coefficient": "4/2", "generator": "gamma", "power": 2}],
+    }
+    set_limit(limit)
+    try:
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: calls.append(n) or set_limit(n))
+        write_fixed_point_file(tmp_path / "data.json", data, annotations, "9" * 5000)
+        assert read_fixed_point_file(tmp_path / "data.json").data == data  # through the hook
+        with pytest.raises(ParseError, match="Exceeds the limit"):
+            read_fixed_point_file(one_component_file(tmp_path / "big.json", "9" * 5000))
+        with pytest.raises(DomainError, match="not written"):
+            write_fixed_point_file(tmp_path / "no.json", FixedPointData(1, (), 10**5000))
+        assert bounded_fraction("1/3") == Fraction(1, 3)
+        assert rational_literal("-7") == -7
+        assert rational_literal("1e3") == 1000
+        assert parse_weight_list("1, -2") == [1, -2]
+        for refused in [lambda: bounded_fraction("9" * 5000), lambda: parse_weight_list("9" * 5000)]:
+            with pytest.raises(ParseError, match="-digit limit"):
+                refused()
+        assert parse_fixed_point_payload(payload).expected == tuple(annotations)
+    finally:
+        monkeypatch.undo()
+        set_limit(previous)
+    assert calls == []
 
 
 def is_integer_literal(token):
@@ -303,15 +407,18 @@ TOKENS = st.one_of(
         st.sampled_from(["", " ", "\n", "\u00a0"]),
     ),
     st.sampled_from(["", "-", "1/2", "-3/6", "1/0", "2.5", "1e3", "1 0", "x", "\u00b2", "1_", "_1"]),
+    # int() counts digits, not '_': the first is over 4,300 of them, the second under
+    st.sampled_from(["9" * 4300 + "_9", "1_" * 2200 + "1", "1e" + "0" * 4300 + "1"]),
 )
+# the interpreter's int-string limit a caller may have set; 0 lifts it, as cli.main does
+LIMITS = st.sampled_from([0, 4300, 5000, 777])
 
 
 @settings(max_examples=300, deadline=None)
-@given(tokens=st.lists(TOKENS, min_size=1, max_size=3), lifted=st.booleans())
-def test_integer_literals_read_as_the_fraction_reader_read_them(tokens, lifted):
-    # cli.main lifts the interpreter's digit limit; a library caller may not
+@given(tokens=st.lists(TOKENS, min_size=1, max_size=3), limit=LIMITS)
+def test_integer_literals_read_as_the_fraction_reader_read_them(tokens, limit):
     text = ",".join(tokens)
-    with int_digit_scope(0 if lifted else int_digit_limit()):
+    with int_digit_scope(limit):
         expected = outcome(parse_every_token_as_a_fraction, text)
         got = outcome(_parse_fraction_list, text)
         assert got == expected
@@ -333,12 +440,32 @@ def coefficient_outcome(parse, token):
 
 
 @settings(max_examples=300, deadline=None)
-@given(token=TOKENS, lifted=st.booleans())
-def test_file_coefficients_read_as_the_fraction_reader_read_them(token, lifted):
+@given(token=TOKENS, limit=LIMITS)
+def test_file_coefficients_read_as_the_fraction_reader_read_them(token, limit):
     # the reference parser reads every string coefficient through bounded_fraction
-    with int_digit_scope(0 if lifted else int_digit_limit()):
+    with int_digit_scope(limit):
         expected = coefficient_outcome(oracles.parse_fixed_point_payload, token)
         got = coefficient_outcome(parse_fixed_point_payload, token)
         assert got == expected
         if not isinstance(got, str):
             assert (type(got) is int) == is_integer_literal(token)
+
+
+def any_outcome(parse, text):
+    """What ``parse(text)`` returns, or the type and text of what it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(TOKENS, min_size=1, max_size=3), limit=LIMITS)
+def test_digit_counting_readers_read_as_the_limit_setting_ones_did(tokens, limit):
+    # the references set the interpreter's limit around int() and Fraction()
+    text = ",".join(tokens)
+    with int_digit_scope(limit):
+        assert any_outcome(parse_weight_list, text) == any_outcome(oracles.parse_weight_list_in_scope, text)
+        for token in tokens:
+            expected = any_outcome(oracles.bounded_fraction_in_scope, token)
+            assert any_outcome(bounded_fraction, token) == expected
