@@ -46,7 +46,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import DomainError, ParseError, int_digit_limit, int_digit_scope
+from .errors import DomainError, ParseError
 
 FORMAT_ENV = "KAPPA_FORGE_FORMAT"
 FORMATS = ("text", "json")
@@ -190,16 +190,19 @@ def read_argv(argv):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # results and messages print in full; each parser holds int_digit_limit() (4300 here) itself
-    with int_digit_scope(0):
-        with int_digit_scope(int_digit_limit()):  # and so do the integer options
-            args = read_argv(argv)
-            if args is None:  # help, a usage error or a spelling the table does not read
-                from ._argparser import build_parser
+    argv = sys.argv[1:] if argv is None else argv
+    # argv is read under 4300 digits, then results print in full (each parser holds int_digit_limit()
+    # itself); the caller's limit comes back on every way out.  A no-op before Python 3.10.7.
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit = sys.set_int_max_str_digits if previous is not None else lambda digits: None
+    set_limit(4300)
+    try:
+        args = read_argv(argv)
+        if args is None:  # help, a usage error or a spelling the table does not read
+            from ._argparser import build_parser
 
-                args = build_parser(COMMANDS, _FORMAT_OPTION).parse_args(argv)
+            args = build_parser(COMMANDS, _FORMAT_OPTION).parse_args(argv)
+        set_limit(0)
         try:
             # resolved before any work, so a bad value computes and writes nothing
             args.format = args.format or os.environ.get(FORMAT_ENV) or "text"
@@ -222,6 +225,8 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
         return 0 if ok else 1
+    finally:
+        set_limit(previous)
 
 
 def run() -> None:

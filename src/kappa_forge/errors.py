@@ -169,37 +169,13 @@ def over_limit(what: str, limit: int, unit: str) -> DomainError:
 
 
 def int_digit_limit():
-    """The int-string digit limit in force, or 4300 if lifted (0) or absent (before Python 3.10.7)."""
+    """The int-string digit limit, which only ``cli.main`` sets; 4300 if lifted (0) or absent (before 3.10.7)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def over_digit_limit(what: str) -> ParseError:
     """The refusal of input ``what`` (its quoted text and a verb) over the digit limit."""
     return ParseError(f"{what} over the {int_digit_limit()}-digit limit")
-
-
-class int_digit_scope:
-    """Hold the int-string digit limit at ``limit`` in a ``with`` block; 0 lifts it.
-
-    Only ``cli.main`` sets the limit; the library reads :func:`int_digit_limit`
-    and counts digits.  The previous limit comes back on exit, exception or
-    not.  A no-op before Python 3.10.7.
-    """
-
-    __slots__ = ("_limit", "_previous")
-
-    def __init__(self, limit: int) -> None:
-        self._limit = limit
-
-    def __enter__(self) -> None:
-        get = getattr(sys, "get_int_max_str_digits", None)
-        self._previous = get and get()
-        if self._previous is not None:
-            sys.set_int_max_str_digits(self._limit)
-
-    def __exit__(self, *exc_info) -> None:
-        if self._previous is not None:
-            sys.set_int_max_str_digits(self._previous)
 
 
 def _digits_over(text: str) -> bool:
@@ -218,20 +194,25 @@ def _ints_over(values) -> bool:
     return any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in values)
 
 
-# each ASCII digit as a NUL byte, so that a run of digits is a run of NULs
-_DIGITS_TO_NUL = bytes.maketrans(b"0123456789", bytes(10))
-
-
 def _json_loads(text: str):
     """``json.loads(text)``, refusing an integer over :func:`int_digit_limit` as int() does under it.
 
     Only text with a longer run of ASCII digits, which may lie in a string,
     goes through a ``parse_int`` hook that counts each integer's digits.
+    Such a run covers an index congruent to ``limit`` modulo limit + 1, and a
+    digit there is in one iff the limit + 1 characters ending its run are all
+    digits: probing only those indices decides as a scan of every one would.
     """
     import json  # loaded already by every module that reads a file
+    import re  # loaded by json
 
     limit = int_digit_limit()
-    if text.encode().translate(_DIGITS_TO_NUL).find(bytes(limit + 1)) < 0:
+    run = re.compile("[0-9]*").match
+    for i in range(limit, len(text), limit + 1):
+        end = run(text, i).end()
+        if end > i and run(text, end - limit - 1).end() == end:
+            break
+    else:
         return json.loads(text)
 
     def parse_int(digits: str) -> int:

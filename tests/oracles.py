@@ -9,6 +9,8 @@ import copy
 import itertools
 import math
 import pickle
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -25,7 +27,6 @@ from kappa_forge.errors import (
     bounded_fraction,
     clip,
     int_digit_limit,
-    int_digit_scope,
     over_digit_limit,
 )
 from kappa_forge.localization import (
@@ -461,7 +462,32 @@ def compare_expected(data: FixedPointData, expected) -> list:
 
 # The rational and weight-list readers as they were while they held the digit
 # bound by setting the interpreter's int-string limit around int() and
-# Fraction(); a test owns its process, so these may set it.
+# Fraction(), and the file reader's digit scan before it probed only every
+# (limit + 1)-th character; a test owns its process, so these may set the limit.
+
+
+@contextmanager
+def int_digit_scope(limit: int):
+    """Hold the interpreter's int-string digit limit at ``limit`` (0 lifts it) in a ``with`` block.
+
+    The previous limit comes back on exit, exception or not; a no-op before Python 3.10.7.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    previous = get and get()
+    if previous is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
+def has_digit_run_over(text: str, limit: int) -> bool:
+    """Whether ``text`` has a run of more than ``limit`` ASCII digits, by a pass over every byte."""
+    # each ASCII digit as a NUL byte, so that a run of digits is a run of NULs
+    nul_digits = text.encode().translate(bytes.maketrans(b"0123456789", bytes(10)))
+    return nul_digits.find(bytes(limit + 1)) >= 0
 
 
 def bounded_fraction_in_scope(text: str):

@@ -24,10 +24,10 @@ from kappa_forge.catalog import (
     s2xs2_family,
     wg_hypothesis_report,
 )
+from kappa_forge import _verdict_handlers, cli, errors, localization
 from kappa_forge._verdict_handlers import _parse_fraction_list
-from kappa_forge import localization
 from kappa_forge.errors import (
-    DomainError, ParseError, bounded_fraction, clip, int_digit_limit, int_digit_scope,
+    DomainError, ParseError, _json_loads, bounded_fraction, clip, int_digit_limit,
     parse_weight_list, rational_literal,
 )
 from kappa_forge.localization import (
@@ -218,7 +218,7 @@ def one_component_file(path, euler_char, provenance=None):
     return path
 
 
-def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound(tmp_path):
+def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound(tmp_path, capsys):
     # before CPython 3.10.7: int() takes any length, and sys has no limit to read or set
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -227,8 +227,10 @@ def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound(tmp_path
             mp.delattr(sys, "get_int_max_str_digits")
             mp.delattr(sys, "set_int_max_str_digits")
             assert int_digit_limit() == 4300
-            with int_digit_scope(0):
-                assert int_digit_limit() == 4300
+            # cli.main neither reads nor sets a limit there, and its parsers hold the bound
+            assert cli.main(["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"]) == 0
+            assert cli.main(["sigma", "--class", "p1", "--weights", "9" * 4301]) == 2
+            assert capsys.readouterr().err == "error: bad weight '99999999999999999999...' is over the 4300-digit limit\n"
             assert bounded_fraction("9" * 4300) == 10**4300 - 1
             with pytest.raises(ParseError, match="numerator or denominator over the 4300-digit"):
                 bounded_fraction("9" * 4301)
@@ -244,13 +246,20 @@ def test_interpreter_without_the_digit_limit_keeps_the_4300_digit_bound(tmp_path
         sys.set_int_max_str_digits(previous)
 
 
-def test_lifted_digit_limit_comes_back_when_an_exception_leaves_the_block():
+def test_lifted_digit_limit_comes_back_when_an_exception_leaves_the_block(monkeypatch):
+    seen = []
+
+    def cmd_betti(args):
+        seen.append(sys.get_int_max_str_digits())
+        raise RuntimeError
+
+    monkeypatch.setattr(_verdict_handlers, "cmd_betti", cmd_betti)
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)
     try:
-        with pytest.raises(RuntimeError), int_digit_scope(0):
-            assert sys.get_int_max_str_digits() == 0
-            raise RuntimeError
+        with pytest.raises(RuntimeError):
+            cli.main(["betti", "--w-even", "2", "--w-odd", "6", "--m-even", "1", "--m-odd", "5"])
+        assert seen == [0]  # the handler runs with the limit lifted
         assert sys.get_int_max_str_digits() == int_digit_limit() == 5000
     finally:
         sys.set_int_max_str_digits(previous)
@@ -326,6 +335,45 @@ def test_a_limit_set_while_a_file_is_read_stays_in_force(tmp_path, monkeypatch):
         assert sys.get_int_max_str_digits() == 777
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def hooked(text, limit):
+    """Whether ``_json_loads`` hands ``text`` to json.loads with a ``parse_int`` hook under ``limit``."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(errors, "int_digit_limit", lambda: limit)
+        mp.setattr(json, "loads", lambda _text, **kwargs: calls.append("parse_int" in kwargs))
+        _json_loads(text)
+    assert len(calls) == 1
+    return calls[0]
+
+
+# small enough that every offset of a run modulo limit + 1 is a handful of cases
+SMALL_LIMIT = 7
+
+
+@pytest.mark.parametrize("length", [SMALL_LIMIT - 1, SMALL_LIMIT, SMALL_LIMIT + 1, 2 * SMALL_LIMIT + 3])
+def test_digit_probe_finds_a_run_over_the_limit_at_every_offset(length):
+    # runs at the start of the text (offset 0), at its end (no tail), in strings and
+    # between other digits; \u0663 is an Arabic-Indic three, which neither rule counts
+    limit, run = SMALL_LIMIT, "9" * length
+    for offset in range(2 * (limit + 1)):
+        pad = " " * offset
+        cases = [
+            (pad + run, length), (pad + run + " ", length), (f'{pad}"{run}"', length),
+            (f"[{pad}-{run}, 1]", length), (f"{pad}1 {run} 2", length),
+            (f"{pad}\u0663{run}\u0663", length), (pad + run[:-1] + "\u0663" + run[-1], length - 1),
+        ]
+        for text, longest in cases:
+            assert hooked(text, limit) == oracles.has_digit_run_over(text, limit) == (longest > limit), text
+    assert not hooked("", limit)
+    assert not hooked("\u0663" * 3 * limit, limit)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(st.sampled_from('0123456789,"- '), max_size=60), limit=st.integers(1, SMALL_LIMIT))
+def test_digit_probe_decides_as_the_scan_of_every_byte_did(text, limit):
+    assert hooked(text, limit) == oracles.has_digit_run_over(text, limit)
 
 
 @pytest.mark.parametrize("limit", [0, 4300, 777])
@@ -418,7 +466,7 @@ LIMITS = st.sampled_from([0, 4300, 5000, 777])
 @given(tokens=st.lists(TOKENS, min_size=1, max_size=3), limit=LIMITS)
 def test_integer_literals_read_as_the_fraction_reader_read_them(tokens, limit):
     text = ",".join(tokens)
-    with int_digit_scope(limit):
+    with oracles.int_digit_scope(limit):
         expected = outcome(parse_every_token_as_a_fraction, text)
         got = outcome(_parse_fraction_list, text)
         assert got == expected
@@ -443,7 +491,7 @@ def coefficient_outcome(parse, token):
 @given(token=TOKENS, limit=LIMITS)
 def test_file_coefficients_read_as_the_fraction_reader_read_them(token, limit):
     # the reference parser reads every string coefficient through bounded_fraction
-    with int_digit_scope(limit):
+    with oracles.int_digit_scope(limit):
         expected = coefficient_outcome(oracles.parse_fixed_point_payload, token)
         got = coefficient_outcome(parse_fixed_point_payload, token)
         assert got == expected
@@ -464,7 +512,7 @@ def any_outcome(parse, text):
 def test_digit_counting_readers_read_as_the_limit_setting_ones_did(tokens, limit):
     # the references set the interpreter's limit around int() and Fraction()
     text = ",".join(tokens)
-    with int_digit_scope(limit):
+    with oracles.int_digit_scope(limit):
         assert any_outcome(parse_weight_list, text) == any_outcome(oracles.parse_weight_list_in_scope, text)
         for token in tokens:
             expected = any_outcome(oracles.bounded_fraction_in_scope, token)
